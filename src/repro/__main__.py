@@ -63,11 +63,6 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a JSONL telemetry sidecar (wall-domain "
                              "spans/events/metrics; never changes report bytes)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="scale tier: simulate campaigns as population "
-                             "cells grouped into up to N stage-1 tasks, merged "
-                             "deterministically (default: whole-campaign runs; "
-                             "an execution knob — any N gives the same bytes)")
 
 
 def _build_runner(args, journal=None, resume_keys=(), run_id=None):
@@ -102,7 +97,6 @@ def _build_runner(args, journal=None, resume_keys=(), run_id=None):
         # Per-task sim tracing only when a sidecar was asked for explicitly:
         # the default path keeps the kernel's no-tracer fast path.
         trace_sim=getattr(args, "trace", None) is not None,
-        shards=getattr(args, "shards", None),
     )
 
 
@@ -294,10 +288,6 @@ def main(argv: list[str] | None = None) -> int:
                                  help="override the program's horizon")
     scenario_parser.add_argument("--seed", type=int, default=None,
                                  help="override the program's seed")
-    scenario_parser.add_argument("--shards", type=int, default=None,
-                                 help="simulate via population cells merged "
-                                      "deterministically (default: the "
-                                      "program's own shards knob)")
 
     cache_parser = sub.add_parser(
         "cache",
@@ -408,30 +398,16 @@ def main(argv: list[str] | None = None) -> int:
             print(exc, file=sys.stderr)
             return 2
         config = program.compile(seed=args.seed, days=args.days)
-        shards = args.shards if args.shards is not None else program.shards
-        if shards < 1:
-            print(f"--shards must be >= 1, got {shards}", file=sys.stderr)
-            return 2
         print(f"scenario: {program.name}")
         if program.description:
             print(f"  {program.description}")
         print(f"  days={config.days:g} seed={config.seed} "
               f"sites={len(config.sites) if config.sites else config.scale}")
-        if shards > 1:
-            from repro.scenarios import check_merged_artifact
-            from repro.workloads.sharding import cell_count, run_scenario_sharded
-
-            artifact = run_scenario_sharded(config, shards=shards)
-            report = check_merged_artifact(artifact)
-            print(f"  cells={cell_count(config.population)} shards={shards}")
-            print(f"  records={len(artifact.records)} "
-                  f"nu={artifact.total_nu:.1f}")
-        else:
-            result = run_scenario(config)
-            report = check_scenario(result)
-            print(f"  records={len(result.records)} "
-                  f"nu={result.central.total_nu():.1f} "
-                  f"outages={sum(len(i.outages) for i in result.injectors)}")
+        result = run_scenario(config)
+        report = check_scenario(result)
+        print(f"  records={len(result.records)} "
+              f"nu={result.central.total_nu():.1f} "
+              f"outages={sum(len(i.outages) for i in result.injectors)}")
         print("invariants:")
         for line in report.summary().splitlines():
             print(f"  {line}")
@@ -683,7 +659,7 @@ def main(argv: list[str] | None = None) -> int:
         args.jobs is not None or args.no_cache or args.cache_dir is not None
         or args.task_timeout is not None or args.no_artifacts
         or args.artifacts_dir is not None or args.timings
-        or args.trace is not None or args.shards is not None
+        or args.trace is not None
     )
     try:
         if use_runner:

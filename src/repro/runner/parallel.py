@@ -128,19 +128,10 @@ class ParallelRunner:
         artifacts: Optional[ArtifactStore] = None,
         telemetry=None,
         trace_sim: bool = False,
-        shards: Optional[int] = None,
     ) -> None:
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.jobs = resolve_jobs(jobs)
-        #: scale tier: resolve campaigns as population cells merged
-        #: deterministically; ``shards`` bounds how many stage-1 tasks one
-        #: campaign's cells are grouped into (None = legacy whole-campaign
-        #: simulation).  An execution knob like ``jobs`` — never part of a
-        #: campaign's identity.
-        self.shards = int(shards) if shards is not None else None
         self.cache: Optional[ResultCache] = (
             cache if cache is not None else (ResultCache() if use_cache else None)
         )
@@ -209,10 +200,8 @@ class ParallelRunner:
         (stage 2).  The store stays active in this process too, so inline
         and degraded executions resolve campaigns identically to workers.
         """
-        from repro.workloads import sharding
-
         stats_before = stats_snapshot()
-        with activated_store(self.artifacts), sharding.sharded(self.shards):
+        with activated_store(self.artifacts):
             started = time.monotonic()
             wall_started = time.time()
             plans: list[list[ExperimentTask]] = [
@@ -253,9 +242,7 @@ class ParallelRunner:
         for position, task in enumerate(tasks):
             key = self._key(task)
             if self.cache is not None:
-                hit, value = self.cache.get(
-                    task.experiment_id, self._cache_params(task), task.seed
-                )
+                hit, value = self.cache.get(task.experiment_id, task.params, task.seed)
                 if hit:
                     sink[position] = value
                     resumed = key in self.resume_keys
@@ -322,7 +309,7 @@ class ParallelRunner:
 
         todo = []
         for key in keys:
-            if self._campaign_ready(key):
+            if self.artifacts.has(key):
                 self.campaign_stats["reused"] += 1
                 self._tel_event("campaign-dedup", campaign=key.asdict())
                 self._tel_count("runner.campaigns_reused")
@@ -331,40 +318,15 @@ class ParallelRunner:
         if not todo:
             return
 
-        if self.shards is None:
-            stage_tasks = [
-                ExperimentTask(
-                    experiment_id=CAMPAIGN_STAGE_ID,
-                    index=index,
-                    params={CAMPAIGN_STAGE_ID: key.asdict()},
-                    seed=key.seed,
-                )
-                for index, key in enumerate(todo)
-            ]
-        else:
-            # Scale tier: each campaign expands into min(shards, cells)
-            # stage-1 tasks; group g simulates cells g, g+groups, ... into
-            # their per-cell artifacts.  Task seeds are the spawn-derived
-            # per-shard seeds, so worker dispatch identity is stable no
-            # matter how the pool schedules the groups.
-            from repro.workloads import sharding
-
-            stage_tasks = []
-            for key in todo:
-                cells = sharding.cell_count(key.population_scale)
-                groups = min(self.shards, cells)
-                for group in range(groups):
-                    stage_tasks.append(
-                        ExperimentTask(
-                            experiment_id=CAMPAIGN_STAGE_ID,
-                            index=len(stage_tasks),
-                            params={
-                                CAMPAIGN_STAGE_ID: key.asdict(),
-                                "__shard_group__": (group, groups),
-                            },
-                            seed=sharding.CellKey.for_cell(key, group, cells).seed,
-                        )
-                    )
+        stage_tasks = [
+            ExperimentTask(
+                experiment_id=CAMPAIGN_STAGE_ID,
+                index=index,
+                params={CAMPAIGN_STAGE_ID: key.asdict()},
+                seed=key.seed,
+            )
+            for index, key in enumerate(todo)
+        ]
         stage_sink: dict[int, object] = {}
         failures_before = len(self.failures)
         entries = list(enumerate(stage_tasks))
@@ -376,43 +338,13 @@ class ParallelRunner:
         # Stage-1 failures are advisory (fallback keeps the sweep correct).
         self.campaign_failures.extend(self.failures[failures_before:])
         del self.failures[failures_before:]
-        if self.shards is None:
-            for value in stage_sink.values():
-                if isinstance(value, dict) and value.get("simulated"):
-                    self.campaign_stats["simulated"] += 1
-                    self._tel_count("runner.campaigns_simulated")
-                elif isinstance(value, dict):
-                    self.campaign_stats["reused"] += 1
-                    self._tel_count("runner.campaigns_reused")
-        else:
-            # A campaign counts as simulated if any of its group tasks
-            # simulated at least one cell; fully-present campaigns were
-            # filtered above, so the remainder here are reuses.
-            seen: dict[tuple, bool] = {}
-            for value in stage_sink.values():
-                if not isinstance(value, dict):
-                    continue
-                tag = tuple(sorted(value["campaign"].items()))
-                seen[tag] = seen.get(tag, False) or bool(value.get("simulated"))
-            for simulated in seen.values():
-                if simulated:
-                    self.campaign_stats["simulated"] += 1
-                    self._tel_count("runner.campaigns_simulated")
-                else:
-                    self.campaign_stats["reused"] += 1
-                    self._tel_count("runner.campaigns_reused")
-
-    def _campaign_ready(self, key) -> bool:
-        """Whether stage 1 has nothing left to do for ``key``."""
-        if self.shards is None:
-            return self.artifacts.has(key)
-        from repro.workloads import sharding
-
-        cells = sharding.cell_count(key.population_scale)
-        return all(
-            self.artifacts.has(sharding.CellKey.for_cell(key, cell, cells))
-            for cell in range(cells)
-        )
+        for value in stage_sink.values():
+            if isinstance(value, dict) and value.get("simulated"):
+                self.campaign_stats["simulated"] += 1
+                self._tel_count("runner.campaigns_simulated")
+            elif isinstance(value, dict):
+                self.campaign_stats["reused"] += 1
+                self._tel_count("runner.campaigns_reused")
 
     # -- inline (jobs=1) path -------------------------------------------------
     def _run_inline(self, position: int, task: ExperimentTask, sink: dict) -> None:
@@ -549,7 +481,6 @@ class ParallelRunner:
                     else None
                 ),
                 trace_sim=self.trace_sim,
-                shards=self.shards,
             )
             try:
                 future = pool.submit(run_task_hardened, spec)
@@ -717,9 +648,7 @@ class ParallelRunner:
             # Campaign tasks persist through the artifact store, not the
             # result cache — caching their marker dict would mask the
             # store-miss signal a resumed run relies on.
-            self.cache.put(
-                task.experiment_id, self._cache_params(task), task.seed, value
-            )
+            self.cache.put(task.experiment_id, task.params, task.seed, value)
         self._journal(
             "task-completed", task, key,
             attempts=attempts, cached=False, resumed=False, degraded=degraded,
@@ -784,21 +713,8 @@ class ParallelRunner:
         if self.telemetry is not None and summary:
             self.telemetry.add_task_sim_summary(key, summary)
 
-    def _cache_params(self, task: ExperimentTask) -> dict:
-        """Task params as cached/journaled — tagged with the campaign mode.
-
-        Sharded and legacy resolutions of the same campaign agree on every
-        report byte at canonical scale but *not* on the absolute ids inside
-        larger campaigns, so their task results must never share cache
-        entries.  The tag is the mode, not the shard count: results are
-        shard-count-invariant by construction.
-        """
-        if self.shards is None:
-            return task.params
-        return {**task.params, "__campaign_mode__": "cells"}
-
     def _key(self, task: ExperimentTask) -> str:
-        return task_key(task.experiment_id, self._cache_params(task), task.seed)
+        return task_key(task.experiment_id, task.params, task.seed)
 
     def _timeout_for(self, task: ExperimentTask) -> Optional[float]:
         declared = plan_timeout(task.experiment_id)

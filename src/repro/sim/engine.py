@@ -23,7 +23,6 @@ __all__ = [
     "WHEEL_TICK",
     "default_tracer",
     "set_default_tracer",
-    "set_wheel_default",
 ]
 
 # Coalesced timer wheel: far-future homogeneous timeouts (think times,
@@ -39,19 +38,6 @@ __all__ = [
 WHEEL_TICK = 900.0  # seconds per bucket
 _WHEEL_MIN_DELAY = 2.0 * WHEEL_TICK  # guarantees the marker lands in the future
 PRIORITY_WHEEL = -1  # internal: sorts before PRIORITY_URGENT (0)
-
-_wheel_default = True
-
-
-def set_wheel_default(enabled: bool) -> None:
-    """Enable/disable the timer wheel on subsequently constructed simulators.
-
-    The wheel is a pure pop-order-preserving optimisation, so this knob never
-    changes results; the equivalence tests and the before/after benchmarks
-    use it to run the same workload through both kernels.
-    """
-    global _wheel_default
-    _wheel_default = bool(enabled)
 
 # The kernel's tracer slot.  `repro.sim` must stay importable without
 # `repro.obs`, so the tracer is duck-typed: anything with the
@@ -94,7 +80,7 @@ class Simulator:
     """
 
     def __init__(
-        self, start_time: float = 0.0, tracer=None, wheel: Optional[bool] = None
+        self, start_time: float = 0.0, tracer=None, wheel: bool = True
     ) -> None:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
@@ -102,8 +88,9 @@ class Simulator:
         self._active_process: Optional[Process] = None
         self._tracer = tracer if tracer is not None else _default_tracer
         # Timer wheel state: bucket index -> list of deferred heap entries.
-        # ``wheel=False`` disables coalescing (used by the equivalence tests).
-        self._wheel_enabled = _wheel_default if wheel is None else bool(wheel)
+        # ``wheel=False`` disables coalescing: the reference kernel the
+        # equivalence tests compare against.
+        self._wheel_enabled = bool(wheel)
         self._wheel: dict[int, list[tuple[float, int, int, Event]]] = {}
         self._wheel_count = 0
 

@@ -21,8 +21,10 @@ Two campaign-sharing companions live here as well:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Type
+import itertools
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional, Type
 
 import repro.infra as infra
 from repro.core.modalities import Modality
@@ -46,12 +48,7 @@ from repro.users.behavior import (
     SimulationContext,
     start_behaviors,
 )
-from repro.users.population import (
-    Population,
-    PopulationSpec,
-    build_population,
-    cell_members,
-)
+from repro.users.population import Population, PopulationSpec, build_population
 from repro.users.profiles import BehaviorProfile
 from repro.workloads.scenarios import SiteSpec, federation_specs
 
@@ -66,6 +63,7 @@ __all__ = [
     "ScenarioResult",
     "TransferSummary",
     "run_scenario",
+    "scoped_id_counters",
 ]
 
 #: The canonical campaign most table experiments share (DESIGN.md §4).
@@ -108,11 +106,6 @@ class ScenarioConfig:
     #: recovery discipline against ``packet_faults`` (None = full defaults:
     #: retransmit with backoff + end-of-run reconciliation re-sends)
     ingest_recovery: Optional[IngestRecoveryPolicy] = None
-    #: population cell ``(cell, cells)`` of the sharded scale tier: the full
-    #: population is built identically in every cell, but only users whose
-    #: ordinal satisfies ``ordinal % cells == cell`` run behavior processes.
-    #: ``None`` (legacy) simulates everyone in one coupled run.
-    shard: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         # Fail at construction with a nameable knob, not downstream with a
@@ -162,16 +155,6 @@ class ScenarioConfig:
                 f"ingest_recovery must be an IngestRecoveryPolicy, "
                 f"got {self.ingest_recovery!r}"
             )
-        if self.shard is not None:
-            cell, cells = self.shard
-            if not (
-                isinstance(cell, int) and isinstance(cells, int)
-                and cells >= 1 and 0 <= cell < cells
-            ):
-                raise ValueError(
-                    f"shard must be (cell, cells) with 0 <= cell < cells, "
-                    f"got {self.shard!r}"
-                )
 
     @property
     def horizon(self) -> float:
@@ -255,31 +238,60 @@ class ScenarioResult:
         }
 
 
+#: ``(module path, attribute)`` of every module-global id counter.
+_ID_COUNTERS = (
+    ("repro.infra.job", "_job_ids"),
+    ("repro.infra.workflow", "_workflow_ids"),
+    ("repro.infra.coalloc", "_coalloc_ids"),
+    ("repro.infra.network", "_transfer_ids"),
+    ("repro.infra.pilot", "_task_ids"),
+    ("repro.infra.scheduler.base", "_reservation_ids"),
+    ("repro.users.behavior", "_ensemble_ids"),
+)
+
+
+@contextmanager
+def scoped_id_counters() -> Iterator[None]:
+    """Run a block with fresh 1-based id counters, restoring the originals.
+
+    Job, workflow, ensemble, co-allocation, transfer, pilot-task and
+    reservation ids are minted from module-global ``itertools.count(1)``
+    counters, so without this scope a campaign's ids would depend on
+    everything the process simulated before it.
+    """
+    import importlib
+
+    saved = []
+    for module_path, attribute in _ID_COUNTERS:
+        module = importlib.import_module(module_path)
+        saved.append((module, attribute, getattr(module, attribute)))
+        setattr(module, attribute, itertools.count(1))
+    try:
+        yield
+    finally:
+        for module, attribute, counter in saved:
+            setattr(module, attribute, counter)
+
+
 def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioResult:
     """Build and run one campaign; see :class:`ScenarioConfig` for knobs.
 
     Keyword overrides are applied on top of ``config`` (or the defaults), so
-    ``run_scenario(days=90, seed=3)`` works without building a config.
+    ``run_scenario(days=90, seed=3)`` works without building a config.  Ids
+    are minted under :func:`scoped_id_counters`, so the records are a pure
+    function of the config whatever the process ran before.
     """
     if config is None:
         config = ScenarioConfig()
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
+    with scoped_id_counters():
+        return _simulate(config)
 
+
+def _simulate(config: ScenarioConfig) -> ScenarioResult:
     sim = Simulator()
-    if config.shard is not None:
-        # Scale tier: population cells draw through the vectorized
-        # pre-sampling facade.  Every cell of a campaign uses the same master
-        # seed, so the shared world (population, gateways, outages) is
-        # identical across cells and cell outputs are independent of how
-        # cells are grouped onto stage-1 tasks.
-        from repro.sim.rng import BufferedStreams
-
-        streams: RandomStreams = BufferedStreams(seed=config.seed)
-    else:
-        streams = RandomStreams(seed=config.seed)
+    streams = RandomStreams(seed=config.seed)
     ledger = infra.AllocationLedger()
     central = CentralAccountingDB()
     network = infra.Network(sim)
@@ -387,12 +399,7 @@ def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioR
         network=network,
         recovery=config.recovery,
     )
-    member_indices = None
-    if config.shard is not None:
-        member_indices = cell_members(population, *config.shard)
-    start_behaviors(
-        ctx, population, profiles=config.profiles, member_indices=member_indices
-    )
+    start_behaviors(ctx, population, profiles=config.profiles)
 
     sim.run(until=config.horizon)
     for provider in providers:

@@ -64,3 +64,4 @@ def test_library_scenarios_pass_every_invariant(name):
     assert report.ok, "\n".join(
         [report.summary()] + [str(v) for v in report.violations]
     )
+    assert report.checks["capacity.peak_cores"]

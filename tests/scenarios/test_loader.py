@@ -110,8 +110,9 @@ def test_defaults_fill_in_for_missing_sections():
 
 
 def test_unknown_top_level_key_rejected():
-    with pytest.raises(ValueError, match="unknown scenario key"):
-        program_from_dict({"name": "x", "schedular": "fcfs"})
+    for key, value in (("schedular", "fcfs"), ("shards", 2)):
+        with pytest.raises(ValueError, match="unknown scenario key"):
+            program_from_dict({"name": "x", key: value})
 
 
 def test_unknown_section_key_rejected():

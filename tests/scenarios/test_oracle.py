@@ -8,6 +8,7 @@ the others staying green.
 """
 
 import dataclasses
+import types
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.scenarios import (
     Violation,
     check_scenario,
 )
+from repro.scenarios.oracle import peak_cores
 from repro.workloads import SiteSpec, run_scenario
 
 FIXTURE = ScenarioProgram(
@@ -75,7 +77,7 @@ def test_clean_run_is_green(result):
     # Every invariant family actually ran.
     assert {c.split(".")[0] for c in report.checks} == {
         "conservation", "ingest", "double_charge", "records", "classifier",
-        "lost_work", "metrics",
+        "capacity", "lost_work", "metrics",
     }
 
 
@@ -122,6 +124,43 @@ def test_unknown_account_trips_known_account(result):
     doctor_record(result, 0, account="slush-fund")
     report = check_scenario(result)
     assert "records.known_account" in failed(report)
+
+
+def test_oversubscribed_resource_trips_peak_cores(result):
+    # A replayed copy of a started job that holds the whole machine: the
+    # pair needs more cores at once than the resource owns.
+    record = next(r for r in result.records if r.start_time is not None)
+    provider = next(p for p in result.providers if p.name == record.resource)
+    result.central._records.append(dataclasses.replace(
+        record,
+        job_id=max(r.job_id for r in result.records) + 1,
+        cores=provider.cluster.total_cores,
+    ))
+    report = check_scenario(result)
+    assert "capacity.peak_cores" in failed(report)
+    assert any(
+        v.invariant == "capacity.peak_cores" and record.resource in v.detail
+        for v in report.violations
+    )
+
+
+def test_peak_cores_frees_cores_before_reusing_them():
+    # [start, end): a job ending at t=10 frees its cores for one starting
+    # at t=10, so back-to-back full-machine jobs peak at the machine size.
+    def job(resource, start, end, cores):
+        return types.SimpleNamespace(
+            resource=resource, start_time=start, end_time=end, cores=cores
+        )
+
+    records = [
+        job("alpha", 0.0, 10.0, 32),
+        job("alpha", 10.0, 20.0, 32),
+        job("alpha", 5.0, 5.0, 32),  # zero-length: holds nothing
+        job("beta", 0.0, 10.0, 8),
+        job("beta", 9.0, 12.0, 8),
+        job("beta", None, 12.0, 24),  # never started
+    ]
+    assert peak_cores(records) == {"alpha": 32, "beta": 16}
 
 
 def test_drifted_injector_counter_trips_consistency(result):

@@ -36,6 +36,7 @@ def test_every_invariant_family_ran(canonical):
         "double_charge",
         "records",
         "classifier",
+        "capacity",
         "lost_work",
         "metrics",
     }

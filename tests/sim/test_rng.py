@@ -96,34 +96,3 @@ def test_spawn_does_not_collide_with_named_streams():
     named = parent.stream("x").random(8).tolist()
     spawned = RandomStreams(seed=9).spawn("x").stream("x").random(8).tolist()
     assert named != spawned
-
-
-# -- BufferedStreams ----------------------------------------------------------
-
-from repro.sim.rng import BufferedStreams  # noqa: E402
-
-
-def test_buffered_streams_are_deterministic():
-    a = BufferedStreams(seed=17).stream("think").exponential(4.0)
-    b = BufferedStreams(seed=17).stream("think").exponential(4.0)
-    assert a == b
-
-
-def test_buffered_streams_differ_by_name_and_seed():
-    streams = BufferedStreams(seed=17)
-    assert streams.stream("a").random() != streams.stream("b").random()
-    assert BufferedStreams(seed=1).stream("a").random() != \
-           BufferedStreams(seed=2).stream("a").random()
-
-
-def test_buffered_stream_instances_are_cached():
-    streams = BufferedStreams(seed=17)
-    assert streams.stream("think") is streams.stream("think")
-    assert "think" in streams
-
-
-def test_buffered_spawn_returns_buffered_children():
-    child = BufferedStreams(seed=17).spawn("shard:0/4")
-    assert isinstance(child, BufferedStreams)
-    # Same derivation chain as RandomStreams.spawn, so shard seeds agree.
-    assert child.seed == RandomStreams(seed=17).spawn("shard:0/4").seed

@@ -373,7 +373,7 @@ def test_run_all_writes_sidecar_next_to_the_journal(tmp_path, capsys):
     assert summary["metrics"]["runner.tasks_completed"] == 6
 
 
-# -- scale tier: --shards, sidecar tie-break, profile --json -------------------
+# -- sidecar tie-break, profile --json ------------------------------------------
 
 def test_latest_sidecar_mtime_breaks_lexical_ties(tmp_path):
     import argparse
@@ -413,30 +413,6 @@ def test_latest_sidecar_equal_mtimes_fall_back_to_path_order(tmp_path):
     # Same second: the lexically last path wins, deterministically.
     assert _latest_sidecar(args) == paths[0]
     assert _latest_sidecar(args) == paths[0]  # stable across calls
-
-
-def test_run_all_sharded_report_is_byte_identical_to_unsharded(tmp_path):
-    code, baseline = _run_all(tmp_path, "baseline.txt", "--jobs", "1", "--no-cache")
-    assert code == 0
-    code, sharded = _run_all(
-        tmp_path, "sharded.txt", "--jobs", "2", "--no-cache", "--shards", "4"
-    )
-    assert code == 0
-    assert baseline.read_bytes() == sharded.read_bytes()
-
-
-def test_run_command_accepts_shards_flag(tmp_path, capsys):
-    assert main(["run", "r1", "--days", "1", "--shards", "2",
-                 "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert "R1" in capsys.readouterr().out
-
-
-def test_scenario_run_accepts_shards_flag(capsys):
-    assert main(["scenario", "run", "teragrid-baseline",
-                 "--days", "2", "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "cells=1 shards=2" in out
-    assert "ok   merge-order" in out
 
 
 def test_profile_json_writes_benchmark_payload(tmp_path, capsys):
