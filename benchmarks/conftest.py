@@ -96,16 +96,12 @@ def parallel_speedup():
         # precomputed simulations and corrupt the ratio.
         _campaign_cache.clear()
         started = time.perf_counter()
-        serial_output = ParallelRunner(jobs=1, use_cache=False).run(
-            experiment_id, **knobs
-        )
+        serial_output = ParallelRunner(jobs=1).run(experiment_id, **knobs)
         serial_seconds = time.perf_counter() - started
 
         _campaign_cache.clear()
         started = time.perf_counter()
-        parallel_output = ParallelRunner(jobs=jobs, use_cache=False).run(
-            experiment_id, **knobs
-        )
+        parallel_output = ParallelRunner(jobs=jobs).run(experiment_id, **knobs)
         parallel_seconds = time.perf_counter() - started
 
         assert parallel_output.text == serial_output.text

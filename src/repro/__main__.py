@@ -13,8 +13,9 @@ Usage::
     python -m repro profile T2          # event-kernel hot-path table
     python -m repro stats               # render the latest telemetry sidecar
 
-``run-all`` and ``run`` accept ``--jobs N`` (default: ``REPRO_JOBS`` env,
-then CPU count), ``--no-cache``, ``--task-timeout SECONDS``, ``--retries N``,
+``run-all`` and ``run`` both execute through the parallel runner with the
+same defaults and accept ``--jobs N`` (default: ``REPRO_JOBS`` env, then CPU
+count), ``--no-cache``, ``--task-timeout SECONDS``, ``--retries N``,
 ``--no-artifacts`` / ``--artifacts-dir`` (the campaign artifact store behind
 the runner's simulate-once/measure-everywhere two-stage DAG) and
 ``--timings`` (per-stage wall-clock and campaign dedup counters on stderr).  ``run-all`` additionally journals its progress under
@@ -79,15 +80,14 @@ def _build_runner(args, journal=None, resume_keys=(), run_id=None):
     if args.retries < 0:
         raise ValueError("--retries must be >= 0")
     cache = None
-    if not args.no_cache and args.cache_dir:
-        cache = ResultCache(root=args.cache_dir)
+    if not args.no_cache:
+        cache = ResultCache(root=args.cache_dir) if args.cache_dir else ResultCache()
     artifacts = None
     if not args.no_cache and not args.no_artifacts:
         artifacts = ArtifactStore(root=_artifact_root(args))
     return ParallelRunner(
         jobs=args.jobs,
         cache=cache,
-        use_cache=not args.no_cache,
         task_timeout=args.task_timeout,
         retry=RetryPolicy(max_attempts=args.retries + 1),
         journal=journal,
@@ -219,16 +219,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("list", help="list registered experiments")
     sub.add_parser("taxonomy", help="print the modality taxonomy table")
-
-    report_parser = sub.add_parser(
-        "report", help="regenerate every table/figure into one report"
-    )
-    report_parser.add_argument("--fast", action="store_true",
-                               help="reduced horizons (smoke report)")
-    report_parser.add_argument("--out", default=None,
-                               help="write to a file instead of stdout")
-    report_parser.add_argument("--only", nargs="*", default=None,
-                               help="subset of experiment ids")
 
     run_all_parser = sub.add_parser(
         "run-all",
@@ -532,23 +522,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"code version: {cache.version}")
         return 0
 
-    from repro.experiments import registry, run_experiment
+    from repro.experiments import registry
 
     if args.command == "list":
         for experiment_id in sorted(registry):
             doc = (registry[experiment_id].__module__ or "").rsplit(".", 1)[-1]
             print(f"{experiment_id:4s} {doc}")
-        return 0
-
-    if args.command == "report":
-        from repro.experiments.reporting import generate_report
-
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                generate_report(out=handle, fast=args.fast, only=args.only)
-            print(f"report written to {args.out}")
-        else:
-            generate_report(out=sys.stdout, fast=args.fast, only=args.only)
         return 0
 
     if args.command == "run-all":
@@ -599,13 +578,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     outputs = generate_report(
-                        out=handle, fast=args.fast, only=args.only,
-                        runner=runner, timings=False,
+                        runner, out=handle, fast=args.fast, only=args.only
                     )
             else:
                 outputs = generate_report(
-                    out=sys.stdout, fast=args.fast, only=args.only,
-                    runner=runner, timings=False,
+                    runner, out=sys.stdout, fast=args.fast, only=args.only
                 )
         except KeyError as exc:
             print(exc, file=sys.stderr)
@@ -655,32 +632,20 @@ def main(argv: list[str] | None = None) -> int:
         knobs["days"] = args.days
     if args.seed is not None:
         knobs["seed"] = args.seed
-    use_runner = (
-        args.jobs is not None or args.no_cache or args.cache_dir is not None
-        or args.task_timeout is not None or args.no_artifacts
-        or args.artifacts_dir is not None or args.timings
-        or args.trace is not None
-    )
     try:
-        if use_runner:
-            runner = _build_runner(args)
-            output = runner.run(args.experiment_id.upper(), **knobs)
-            if args.timings:
-                _print_timings(runner)
-            if args.trace:
-                _write_sidecar(runner, args.trace)
-            if runner.failures:
-                print(output)
-                for failure in runner.failures:
-                    print(f"[task failed] {failure.describe()}", file=sys.stderr)
-                return 3
-        else:
-            output = run_experiment(args.experiment_id.upper(), **knobs)
+        runner = _build_runner(args)
+        output = runner.run(args.experiment_id.upper(), **knobs)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
+    if args.timings:
+        _print_timings(runner)
+    if args.trace:
+        _write_sidecar(runner, args.trace)
     print(output)
-    return 0
+    for failure in runner.failures:
+        print(f"[task failed] {failure.describe()}", file=sys.stderr)
+    return 3 if runner.failures else 0
 
 
 if __name__ == "__main__":

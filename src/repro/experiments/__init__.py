@@ -1,8 +1,9 @@
 """The experiment suite: one module per table/figure of DESIGN.md §4.
 
-Each experiment exposes ``run(**knobs) -> ExperimentOutput``; the registry
-maps experiment ids to those functions so benchmarks, examples and the
-command line can share one implementation.
+Each experiment registers either a whole ``run(**knobs) -> ExperimentOutput``
+or a task plan (``plan``/``execute``/``merge``); ``run_experiment`` runs
+either by id, so benchmarks, examples and the command line share one
+implementation.
 """
 
 from repro.experiments.base import ExperimentOutput, campaign, registry, run_experiment

@@ -37,16 +37,14 @@ from repro.core.report import ascii_table, counters_footer
 from repro.experiments.base import (
     ExperimentOutput,
     ExperimentTask,
-    register,
     register_tasks,
-    run_via_tasks,
 )
 from repro.infra.amie import IngestRecoveryPolicy, PacketFaultRegime
 from repro.infra.units import MINUTE
 from repro.users.population import PopulationSpec
 from repro.workloads.synthetic import ScenarioConfig, run_scenario
 
-__all__ = ["run"]
+__all__ = ["plan", "execute", "merge"]
 
 _SEED = 53
 _DAYS = 15.0
@@ -307,19 +305,3 @@ def merge(
 
 
 register_tasks("A5", plan=plan, execute=execute, merge=merge)
-
-
-@register("A5")
-def run(
-    seed: int = _SEED,
-    days: float = _DAYS,
-    regimes: tuple[str, ...] = _REGIMES,
-    recoveries: tuple[str, ...] = _RECOVERIES,
-) -> ExperimentOutput:
-    return run_via_tasks(
-        "A5",
-        seed=seed,
-        days=days,
-        regimes=regimes,
-        recoveries=recoveries,
-    )

@@ -1,21 +1,15 @@
 """Experiment plumbing: output container, registry, task plans, campaign cache.
 
-Two execution protocols coexist:
-
-* the classic ``run(**knobs) -> ExperimentOutput`` registry, used by
-  ``run_experiment`` — every experiment supports it;
-* an optional *task plan* (``register_tasks``): the experiment declares the
-  independent units of work it is made of (one per replicate/sweep point),
-  a pure ``execute(params)`` that computes one unit, and a deterministic
-  ``merge(partials, **knobs)`` that assembles the final output.  The
-  parallel runner (:mod:`repro.runner`) fans the tasks out over worker
-  processes; ``plan_tasks``/``merge_tasks`` below are its only entry points
-  into this module, so serial and parallel execution share one code path
-  and produce byte-identical output.
-
-Experiments without a declared plan get a synthesized single-task plan that
-wraps their ``run`` function, so the runner can treat every experiment
-uniformly (coarse-grained parallelism across experiments at worst).
+Every experiment runs one way, as a *task plan*: the independent units of
+work it is made of (one per replicate/sweep point), a pure
+``execute(params)`` that computes one unit, and a deterministic
+``merge(partials, **knobs)`` that assembles the final output.  Experiments
+declare a plan with ``register_tasks``; a plain ``@register`` function gets
+a synthesized single-task plan that wraps it.  ``plan_tasks``,
+``execute_task`` and ``merge_tasks`` below are the parallel runner's
+(:mod:`repro.runner`) only entry points into this module, and
+``run_experiment`` strings the same three together serially in index order
+— the in-process reference the runner's output is byte-compared against.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.workloads import ScenarioResult, run_scenario
+from repro.workloads import run_scenario
 from repro.workloads.synthetic import (
     CAMPAIGN_DAYS,
     CAMPAIGN_POPULATION_SCALE,
@@ -44,7 +38,6 @@ __all__ = [
     "register_tasks",
     "register_campaigns",
     "run_experiment",
-    "run_via_tasks",
     "plan_tasks",
     "plan_timeout",
     "execute_task",
@@ -74,7 +67,10 @@ class ExperimentOutput:
         return f"== {self.experiment_id}: {self.title} ==\n{self.text}"
 
 
-registry: dict[str, Callable[..., ExperimentOutput]] = {}
+#: Every known experiment id, mapped to the function that defines it: the
+#: whole-experiment ``run`` of a ``@register`` experiment, or the ``plan`` of
+#: a declared task plan.  Run either through :func:`run_experiment`.
+registry: dict[str, Callable] = {}
 
 
 def register(experiment_id: str):
@@ -87,16 +83,6 @@ def register(experiment_id: str):
         return func
 
     return wrap
-
-
-def run_experiment(experiment_id: str, **knobs) -> ExperimentOutput:
-    try:
-        func = registry[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(registry)}"
-        ) from None
-    return func(**knobs)
 
 
 @dataclass(frozen=True)
@@ -150,6 +136,7 @@ def register_tasks(
     task_plans[experiment_id] = TaskPlan(
         plan=plan, execute=execute, merge=merge, timeout=timeout
     )
+    registry[experiment_id] = plan
 
 
 def plan_timeout(experiment_id: str) -> Optional[float]:
@@ -222,18 +209,15 @@ def merge_tasks(
     return declared.merge(partials, **knobs)
 
 
-def run_via_tasks(experiment_id: str, **knobs) -> ExperimentOutput:
+def run_experiment(experiment_id: str, **knobs) -> ExperimentOutput:
     """Serial reference path: plan, execute in index order, merge."""
     tasks = plan_tasks(experiment_id, **knobs)
     partials = [execute_task(task) for task in tasks]
     return merge_tasks(experiment_id, partials, **knobs)
 
 
-#: In-process campaign memo, keyed by canonical :class:`CampaignKey`.  Holds
-#: live :class:`ScenarioResult` objects (no artifact store) or
-#: :class:`CampaignArtifact` snapshots (store active) — the two expose the
-#: same measurement surface.
-_campaign_cache: dict[CampaignKey, ScenarioResult | CampaignArtifact] = {}
+#: The in-process campaign memo, keyed by canonical :class:`CampaignKey`.
+_campaign_cache: dict[CampaignKey, CampaignArtifact] = {}
 
 #: :func:`campaign`'s knob names, in :meth:`CampaignKey.make` order.
 campaign_key = CampaignKey.make
@@ -246,20 +230,21 @@ def campaign(
     population_scale: float = CAMPAIGN_POPULATION_SCALE,
     gateway_tagging_coverage: float = 1.0,
     gateway_adoption_ramp_days: float = 0.0,
-) -> ScenarioResult | CampaignArtifact:
-    """The shared campaign, memoized per canonical knob combination.
+) -> CampaignArtifact:
+    """The shared campaign's artifact, memoized per canonical knob combination.
 
     Several experiments read different aspects of the same run; the
-    in-process memo keeps a serial suite's wall-clock dominated by distinct
+    in-process memo keeps a suite's wall-clock dominated by distinct
     simulations only.  The key is canonicalized (``days=90`` and
     ``days=90.0`` are one campaign), so spelling differences between callers
     can no longer duplicate simulations.
 
-    When an artifact store is active (the parallel runner's two-stage mode,
-    :mod:`repro.runner.artifacts`), resolution goes memo → stored
-    :class:`CampaignArtifact` → live simulation; a live simulation under an
-    active store is serialized back into it so every other process of the
-    sweep reuses it instead of re-simulating.
+    Resolution goes memo → the active artifact store, if any
+    (:mod:`repro.runner.artifacts`) → live simulation.  A live result is
+    always reduced to its :class:`CampaignArtifact`, so every caller reads
+    the same shape whether or not a store is active; under an active store
+    the artifact is saved back so every other process of the sweep reuses it
+    instead of re-simulating.
     """
     key = CampaignKey.make(
         days=days,
@@ -276,21 +261,14 @@ def campaign(
     from repro.runner import artifacts as artifact_mod
 
     store = artifact_mod.active_store()
-    if store is not None:
-        artifact = store.load(key)
-        if artifact is not None:
-            _campaign_cache[key] = artifact
-            return artifact
-
-    result = run_scenario(key.config())
-    if store is not None:
-        artifact_mod.note_simulation()
-        artifact = CampaignArtifact.from_result(result, key=key)
-        store.save(key, artifact)
-        _campaign_cache[key] = artifact
-        return artifact
-    _campaign_cache[key] = result
-    return result
+    artifact = store.load(key) if store is not None else None
+    if artifact is None:
+        artifact = CampaignArtifact.from_result(run_scenario(key.config()), key=key)
+        if store is not None:
+            artifact_mod.note_simulation()
+            store.save(key, artifact)
+    _campaign_cache[key] = artifact
+    return artifact
 
 
 # -- campaign dependencies (the runner's stage-1 planning input) ---------------
@@ -337,7 +315,7 @@ def _execute_campaign_stage(key_fields: dict) -> dict:
     key = CampaignKey.make(**key_fields)
     with artifact_mod.campaign_stage():
         before = artifact_mod.STATS.simulations
-        result = campaign(**key.asdict())
+        artifact = campaign(**key.asdict())
         simulated = artifact_mod.STATS.simulations > before
         store = artifact_mod.active_store()
         if store is not None and not store.has(key):
@@ -345,7 +323,5 @@ def _execute_campaign_stage(key_fields: dict) -> dict:
             # a forked worker inheriting the parent memo) satisfied the call
             # without writing: stage 1's one job is to leave an artifact
             # behind for stage 2 and future runs, so persist it now.
-            if not isinstance(result, CampaignArtifact):
-                result = CampaignArtifact.from_result(result, key=key)
-            store.save(key, result)
+            store.save(key, artifact)
     return {"campaign": key.asdict(), "simulated": simulated}

@@ -19,13 +19,11 @@ from repro.experiments.base import (
     ExperimentTask,
     campaign,
     campaign_key,
-    register,
     register_campaigns,
     register_tasks,
-    run_via_tasks,
 )
 
-__all__ = ["run"]
+__all__ = ["plan", "execute", "merge"]
 
 _DAYS = 45.0
 _SEED = 1
@@ -140,12 +138,3 @@ def _campaigns(params: dict) -> list:
 
 register_tasks("F6", plan=plan, execute=execute, merge=merge)
 register_campaigns("F6", _campaigns)
-
-
-@register("F6")
-def run(
-    days: float = _DAYS,
-    seed: int = _SEED,
-    coverages: tuple[float, ...] = _COVERAGES,
-) -> ExperimentOutput:
-    return run_via_tasks("F6", days=days, seed=seed, coverages=coverages)

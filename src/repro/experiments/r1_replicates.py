@@ -28,13 +28,11 @@ from repro.experiments.base import (
     ExperimentTask,
     campaign,
     campaign_key,
-    register,
     register_campaigns,
     register_tasks,
-    run_via_tasks,
 )
 
-__all__ = ["run"]
+__all__ = ["plan", "execute", "merge"]
 
 _DAYS = 45.0
 _SEEDS = (1, 2, 3, 4, 5)
@@ -140,14 +138,3 @@ def _campaigns(params: dict) -> list:
 
 register_tasks("R1", plan=plan, execute=execute, merge=merge)
 register_campaigns("R1", _campaigns)
-
-
-@register("R1")
-def run(
-    days: float = _DAYS,
-    seeds: tuple[int, ...] = _SEEDS,
-    population_scale: float = _POPULATION_SCALE,
-) -> ExperimentOutput:
-    return run_via_tasks(
-        "R1", days=days, seeds=seeds, population_scale=population_scale
-    )

@@ -18,9 +18,10 @@ slow a sweep down but never change its bytes.  Writes are atomic
 result-cache writes.
 
 Per-process plumbing: workers activate the store once
-(:func:`ensure_active_store`); loads are memoized per process
-(:attr:`ArtifactStore._memo`) so a worker deserializes each artifact at most
-once no matter how many measurement tasks it executes; and the module-level
+(:func:`ensure_active_store`); every load goes through
+:func:`repro.experiments.base.campaign`, whose in-process memo serves the
+artifact afterwards, so a worker deserializes each artifact at most once no
+matter how many measurement tasks it executes; and the module-level
 :data:`STATS` counters let the runner aggregate dedup/fallback/load-time
 telemetry across processes via worker outcomes.
 """
@@ -139,9 +140,8 @@ def active_store() -> Optional["ArtifactStore"]:
 def ensure_active_store(root: str | os.PathLike) -> "ArtifactStore":
     """Activate (or reuse) the process-wide store rooted at ``root``.
 
-    Pool workers call this at task pickup; the store (and its load memo)
-    persists for the life of the worker process, so repeated tasks on one
-    worker deserialize each artifact exactly once.
+    Pool workers call this at task pickup; the store persists for the life
+    of the worker process.
     """
     global _active
     root = Path(root)
@@ -198,7 +198,6 @@ class ArtifactStore:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        self._memo: dict[CampaignKey, CampaignArtifact] = {}
 
     # -- keys ----------------------------------------------------------------
     @staticmethod
@@ -217,17 +216,10 @@ class ArtifactStore:
 
     # -- read side -----------------------------------------------------------
     def has(self, key: CampaignKey) -> bool:
-        return key in self._memo or self.path_for(key).exists()
+        return self.path_for(key).exists()
 
     def load(self, key: CampaignKey) -> Optional[CampaignArtifact]:
-        """The stored artifact, or ``None`` on miss (damage = quarantine + miss).
-
-        Loads are memoized per process: the deserialization cost is paid at
-        most once per (worker, campaign) pair.
-        """
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            return memoized
+        """The stored artifact, or ``None`` on miss (damage = quarantine + miss)."""
         path = self.path_for(key)
         if not path.exists():
             return None
@@ -241,7 +233,6 @@ class ArtifactStore:
             return None
         STATS.loads += 1
         STATS.load_seconds += time.monotonic() - started
-        self._memo[key] = artifact
         return artifact
 
     def _quarantine(self, path: Path) -> None:
@@ -258,7 +249,7 @@ class ArtifactStore:
 
     # -- write side ----------------------------------------------------------
     def save(self, key: CampaignKey, artifact: CampaignArtifact) -> None:
-        """Store atomically (temp file + fsync + rename), then memoize."""
+        """Store atomically (temp file + fsync + rename)."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
@@ -277,7 +268,6 @@ class ArtifactStore:
                 pass
             raise
         STATS.writes += 1
-        self._memo[key] = artifact
         self._chaos_corrupt(path)
 
     def _chaos_corrupt(self, path: Path) -> None:
@@ -287,18 +277,7 @@ class ArtifactStore:
         config = chaos_from_env()
         if config.corrupt:
             # The path stem is the stable (knobs-hash, seed) identity.
-            if maybe_corrupt_entry(config, path, f"artifact/{path.stem}"):
-                # A corrupted entry must not be served from this process's
-                # memo either, or the damage would go unnoticed here while
-                # other workers quarantine it — drop the memo so every
-                # process sees the same (damaged) bytes.
-                self._memo.pop(self._key_of(path), None)
-
-    def _key_of(self, path: Path) -> Optional[CampaignKey]:
-        for key in self._memo:
-            if self.path_for(key) == path:
-                return key
-        return None
+            maybe_corrupt_entry(config, path, f"artifact/{path.stem}")
 
     # -- maintenance ---------------------------------------------------------
     def entries(self) -> list[Path]:
@@ -354,5 +333,4 @@ class ArtifactStore:
         for path in self.entries() + self.quarantined_entries():
             path.unlink(missing_ok=True)
             removed += 1
-        self._memo.clear()
         return removed

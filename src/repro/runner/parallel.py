@@ -103,10 +103,9 @@ class ParallelRunner:
     """Run experiments as task fan-outs with caching and fault tolerance.
 
     ``jobs=1`` executes inline in this process (sharing the in-process
-    campaign memo exactly like the classic serial path); ``jobs>1`` uses a
-    :class:`~concurrent.futures.ProcessPoolExecutor` with crash containment.
-    ``cache=None`` with ``use_cache=True`` builds the default on-disk cache;
-    ``use_cache=False`` disables caching entirely.
+    campaign memo exactly like :func:`~repro.experiments.base.run_experiment`);
+    ``jobs>1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor` with
+    crash containment.  ``cache=None`` disables the result cache.
 
     ``task_timeout`` is the default wall-clock limit per task (seconds);
     an experiment's :func:`~repro.experiments.base.register_tasks` override
@@ -119,7 +118,6 @@ class ParallelRunner:
         self,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        use_cache: bool = True,
         task_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         journal: Optional[RunJournal] = None,
@@ -132,9 +130,7 @@ class ParallelRunner:
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
         self.jobs = resolve_jobs(jobs)
-        self.cache: Optional[ResultCache] = (
-            cache if cache is not None else (ResultCache() if use_cache else None)
-        )
+        self.cache = cache
         self.task_timeout = task_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.journal = journal
@@ -355,41 +351,49 @@ class ParallelRunner:
         overruns can be environmental), task exceptions are recorded.
         """
         key = self._key(task)
-        timeout = self._timeout_for(task)
         attempt = 0
         while True:
             attempt += 1
             self._journal("task-started", task, key, attempt=attempt, mode="inline")
-            wall_started = time.time()
-            try:
-                with wall_clock_limit(timeout):
-                    value = self._execute_traced(task, key)
-            except TaskTimeout as exc:
+            value = self._attempt_inline(task, key, attempt, mode="inline")
+            if (
+                isinstance(value, TaskFailure)
+                and value.kind == FAILURE_TIMEOUT
+                and self.retry.should_retry(FAILURE_TIMEOUT, attempt)
+            ):
+                self.retries += 1
                 self._tel_event(
-                    "timeout", key=key, attempt=attempt, mode="inline"
+                    "retry", key=key, kind=FAILURE_TIMEOUT, attempt=attempt
                 )
-                if self.retry.should_retry(FAILURE_TIMEOUT, attempt):
-                    self.retries += 1
-                    self._tel_event(
-                        "retry", key=key, kind=FAILURE_TIMEOUT, attempt=attempt
-                    )
-                    self._tel_count("runner.retries")
-                    time.sleep(self.retry.delay(key, attempt))
-                    continue
-                value = self._failure(task, FAILURE_TIMEOUT, attempt, message=str(exc))
-            except Exception as exc:
-                value = self._failure(
-                    task, FAILURE_EXCEPTION, attempt,
-                    error_type=type(exc).__name__, message=str(exc),
-                )
-            self._tel_span(
-                "task", wall_started, time.time() - wall_started,
-                key=key, experiment=task.experiment_id, mode="inline",
-                attempt=attempt,
-                status="failed" if isinstance(value, TaskFailure) else "ok",
-            )
+                self._tel_count("runner.retries")
+                time.sleep(self.retry.delay(key, attempt))
+                continue
             self._complete(position, task, key, value, attempts=attempt, sink=sink)
             return
+
+    def _attempt_inline(
+        self, task: ExperimentTask, key: str, attempt: int, mode: str
+    ):
+        """One in-process attempt: its value, or the :class:`TaskFailure`."""
+        wall_started = time.time()
+        try:
+            with wall_clock_limit(self._timeout_for(task)):
+                value = self._execute_traced(task, key)
+        except TaskTimeout as exc:
+            self._tel_event("timeout", key=key, attempt=attempt, mode=mode)
+            value = self._failure(task, FAILURE_TIMEOUT, attempt, message=str(exc))
+        except Exception as exc:
+            value = self._failure(
+                task, FAILURE_EXCEPTION, attempt,
+                error_type=type(exc).__name__, message=str(exc),
+            )
+        self._tel_span(
+            "task", wall_started, time.time() - wall_started,
+            key=key, experiment=task.experiment_id, mode=mode,
+            attempt=attempt,
+            status="failed" if isinstance(value, TaskFailure) else "ok",
+        )
+        return value
 
     def _execute_traced(self, task: ExperimentTask, key: str):
         """Execute in-process, recording the sim slice when tracing is on.
@@ -600,23 +604,7 @@ class ParallelRunner:
         self._tel_event("degraded", key=key, kind=kind or "", attempt=attempt)
         self._tel_count("runner.degraded")
         self._journal("task-started", task, key, attempt=attempt, mode="degraded")
-        wall_started = time.time()
-        try:
-            with wall_clock_limit(self._timeout_for(task)):
-                value = self._execute_traced(task, key)
-        except TaskTimeout as exc:
-            value = self._failure(task, FAILURE_TIMEOUT, attempt, message=str(exc))
-        except Exception as exc:
-            value = self._failure(
-                task, FAILURE_EXCEPTION, attempt,
-                error_type=type(exc).__name__, message=str(exc),
-            )
-        self._tel_span(
-            "task", wall_started, time.time() - wall_started,
-            key=key, experiment=task.experiment_id, mode="degraded",
-            attempt=attempt,
-            status="failed" if isinstance(value, TaskFailure) else "ok",
-        )
+        value = self._attempt_inline(task, key, attempt, mode="degraded")
         self._complete(
             position, task, key, value, attempts=attempt, sink=sink, degraded=True
         )

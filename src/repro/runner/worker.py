@@ -82,8 +82,7 @@ def run_task_hardened(spec: WorkerSpec) -> WorkerOutcome:
     chaos = chaos_from_env()
     if spec.artifact_dir is not None:
         # Activate (or reuse) this process's artifact store so campaign()
-        # resolves through it; the store and its deserialization memo
-        # persist for the life of the worker.
+        # resolves through it; the store persists for the life of the worker.
         artifact_mod.ensure_active_store(spec.artifact_dir)
     stats_before = artifact_mod.stats_snapshot()
     sim_summary = None

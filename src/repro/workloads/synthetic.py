@@ -16,7 +16,8 @@ Two campaign-sharing companions live here as well:
   (records, truth maps, community accounts, accounting totals, WAN
   transfers) without the live :class:`~repro.sim.Simulator` object graph,
   so one worker's simulation can be serialized once and fanned out to the
-  rest of a sweep.
+  rest of a sweep.  It is the one shape
+  :func:`repro.experiments.base.campaign` returns, store or no store.
 """
 
 from __future__ import annotations
@@ -459,6 +460,9 @@ class CampaignKey:
         gateway_tagging_coverage: float = 1.0,
         gateway_adoption_ramp_days: float = 0.0,
     ) -> "CampaignKey":
+        if seed != int(seed):
+            # int() would truncate 1.5 onto seed 1's campaign.
+            raise ValueError(f"campaign seed must be integral, got {seed!r}")
         return cls(
             days=float(days),
             seed=int(seed),

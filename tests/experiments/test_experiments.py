@@ -9,7 +9,10 @@ import pytest
 
 from repro.core.modalities import MODALITY_ORDER, Modality
 from repro.experiments import ExperimentOutput, registry, run_experiment
+from repro.experiments import base
 from repro.experiments.base import campaign
+from repro.runner import artifacts as artifact_mod
+from repro.workloads.synthetic import CampaignArtifact, CampaignKey
 
 ALL_IDS = {
     "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8",
@@ -41,6 +44,17 @@ def test_campaign_cache_key_is_spelling_insensitive():
     a = campaign(days=6, seed=79, population_scale=0.02)
     b = campaign(days=6.0, seed=79.0, population_scale=0.02)
     assert a is b
+
+
+def test_campaign_without_a_store_returns_an_artifact(monkeypatch):
+    # One campaign shape: with or without an artifact store, callers read
+    # a CampaignArtifact, never the live ScenarioResult.
+    monkeypatch.setattr(artifact_mod, "_active", None)
+    monkeypatch.setattr(base, "_campaign_cache", {})
+    result = campaign(days=6.0, seed=77, population_scale=0.02)
+    assert isinstance(result, CampaignArtifact)
+    assert result.key == CampaignKey.make(days=6.0, seed=77, population_scale=0.02)
+    assert result.records
 
 
 @pytest.fixture(scope="module")

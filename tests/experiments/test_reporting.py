@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.reporting import FAST_KNOBS, _ORDER, generate_report
+from repro.runner import ParallelRunner
 
 
 def test_order_covers_registry_exactly():
@@ -20,11 +21,14 @@ def test_fast_knobs_cover_registry():
 
 def test_generate_report_unknown_id_raises():
     with pytest.raises(KeyError):
-        generate_report(out=io.StringIO(), only=["nope"])
+        generate_report(ParallelRunner(jobs=1), out=io.StringIO(), only=["nope"])
 
 
 def test_generate_report_writes_output():
     buffer = io.StringIO()
-    outputs = generate_report(buffer, fast=True, only=["A2"])
+    outputs = generate_report(
+        ParallelRunner(jobs=1), out=buffer, fast=True, only=["A2"]
+    )
     assert len(outputs) == 1
     assert "A2" in buffer.getvalue()
+    assert "regenerated in" not in buffer.getvalue()

@@ -45,7 +45,7 @@ def _texts(outputs):
 @pytest.fixture(scope="module")
 def reference():
     """Store-off serial outputs: the byte-identity baseline."""
-    runner = ParallelRunner(jobs=1, use_cache=False)
+    runner = ParallelRunner(jobs=1)
     return _texts(runner.run_many(_SHARED))
 
 
@@ -87,7 +87,7 @@ def test_r1_declares_one_campaign_per_seed():
 
 def test_serial_store_simulates_each_key_once(tmp_path, reference):
     runner = ParallelRunner(
-        jobs=1, use_cache=False, artifacts=ArtifactStore(root=tmp_path)
+        jobs=1, artifacts=ArtifactStore(root=tmp_path)
     )
     outputs = runner.run_many(_SHARED)
     assert runner.campaign_stats["distinct"] == 1
@@ -99,7 +99,7 @@ def test_serial_store_simulates_each_key_once(tmp_path, reference):
 
 def test_parallel_store_simulates_each_key_once(tmp_path, reference):
     runner = ParallelRunner(
-        jobs=2, use_cache=False, artifacts=ArtifactStore(root=tmp_path)
+        jobs=2, artifacts=ArtifactStore(root=tmp_path)
     )
     outputs = runner.run_many(_SHARED)
     assert runner.campaign_stats["distinct"] == 1
@@ -112,12 +112,12 @@ def test_parallel_store_simulates_each_key_once(tmp_path, reference):
 def test_existing_artifacts_are_reused_not_resimulated(tmp_path, reference):
     store_dir = tmp_path / "store"
     first = ParallelRunner(
-        jobs=1, use_cache=False, artifacts=ArtifactStore(root=store_dir)
+        jobs=1, artifacts=ArtifactStore(root=store_dir)
     )
     first.run_many(_SHARED)
 
     second = ParallelRunner(
-        jobs=1, use_cache=False, artifacts=ArtifactStore(root=store_dir)
+        jobs=1, artifacts=ArtifactStore(root=store_dir)
     )
     outputs = second.run_many(_SHARED)
     assert second.campaign_stats["simulated"] == 0
@@ -130,13 +130,13 @@ def test_partial_store_resumes_mid_campaign_stage(tmp_path):
     only the missing ones (that is resume for stage 1)."""
     store_dir = tmp_path / "store"
     warmup = ParallelRunner(
-        jobs=1, use_cache=False, artifacts=ArtifactStore(root=store_dir)
+        jobs=1, artifacts=ArtifactStore(root=store_dir)
     )
     warmup.run_many([("R1", {"days": 4.0, "seeds": (1,)})])
     assert warmup.campaign_stats["simulated"] == 1
 
     resumed = ParallelRunner(
-        jobs=1, use_cache=False, artifacts=ArtifactStore(root=store_dir)
+        jobs=1, artifacts=ArtifactStore(root=store_dir)
     )
     resumed.run_many([("R1", {"days": 4.0, "seeds": (1, 2, 3)})])
     assert resumed.campaign_stats["distinct"] == 3
@@ -146,7 +146,7 @@ def test_partial_store_resumes_mid_campaign_stage(tmp_path):
 
 def test_stage_timings_are_recorded(tmp_path):
     runner = ParallelRunner(
-        jobs=1, use_cache=False, artifacts=ArtifactStore(root=tmp_path)
+        jobs=1, artifacts=ArtifactStore(root=tmp_path)
     )
     runner.run_many([("T1", {"days": 8.0})])
     assert set(runner.stage_seconds) == {"plan", "campaign", "measure"}
@@ -154,7 +154,7 @@ def test_stage_timings_are_recorded(tmp_path):
 
 
 def test_no_store_means_no_campaign_stage():
-    runner = ParallelRunner(jobs=1, use_cache=False)
+    runner = ParallelRunner(jobs=1)
     runner.run_many([("T1", {"days": 8.0})])
     assert "campaign" not in runner.stage_seconds
     assert runner.campaign_stats["distinct"] == 0
@@ -203,7 +203,7 @@ def test_corrupted_artifacts_fall_back_to_live_simulation(
 ):
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:1.0")
     runner = ParallelRunner(
-        jobs=2, use_cache=False, artifacts=ArtifactStore(root=tmp_path)
+        jobs=2, artifacts=ArtifactStore(root=tmp_path)
     )
     outputs = runner.run_many(_SHARED)
     # Every artifact write was corrupted: stage 2 quarantines on load and

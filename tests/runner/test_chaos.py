@@ -128,7 +128,7 @@ def test_corrupt_probability_zero_never_touches_files(tmp_path):
 def test_corrupted_sweep_recovers_by_quarantine_and_recompute(
     tmp_path, monkeypatch, chaos_experiment
 ):
-    clean = ParallelRunner(jobs=1, use_cache=False).run("CZ")
+    clean = ParallelRunner(jobs=1).run("CZ")
 
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:1.0")
     poisoned = ParallelRunner(jobs=1, cache=ResultCache(root=tmp_path))
@@ -145,10 +145,6 @@ def test_corrupted_sweep_recovers_by_quarantine_and_recompute(
 
 
 # -- a tiny registered experiment for end-to-end injection ---------------------
-
-def _cz_run(**knobs):
-    raise NotImplementedError("CZ only runs via its task plan")
-
 
 def _cz_plan(seeds=(1, 2, 3, 4), **_knobs):
     return [
@@ -169,7 +165,6 @@ def _cz_merge(partials, **_knobs):
 
 @pytest.fixture
 def chaos_experiment():
-    registry["CZ"] = _cz_run
     register_tasks("CZ", _cz_plan, _cz_execute, _cz_merge)
     yield
     registry.pop("CZ", None)
@@ -180,10 +175,10 @@ def chaos_experiment():
 
 @fork_only
 def test_kill_sweep_completes_byte_identical(monkeypatch, chaos_experiment):
-    clean = ParallelRunner(jobs=1, use_cache=False).run("CZ")
+    clean = ParallelRunner(jobs=1).run("CZ")
 
     monkeypatch.setenv("REPRO_CHAOS", "kill:0.5")
-    chaotic = ParallelRunner(jobs=2, use_cache=False)
+    chaotic = ParallelRunner(jobs=2)
     survived = chaotic.run("CZ")
 
     assert survived.text == clean.text
@@ -198,11 +193,11 @@ def test_kill_sweep_completes_byte_identical(monkeypatch, chaos_experiment):
 def test_certain_kill_degrades_to_serial_and_still_finishes(
     monkeypatch, chaos_experiment
 ):
-    clean = ParallelRunner(jobs=1, use_cache=False).run("CZ")
+    clean = ParallelRunner(jobs=1).run("CZ")
 
     monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")  # no pool attempt can live
     chaotic = ParallelRunner(
-        jobs=2, use_cache=False,
+        jobs=2,
         retry=RetryPolicy(max_attempts=2, base_delay=0.01),
         max_pool_deaths=2,
     )
@@ -215,12 +210,12 @@ def test_certain_kill_degrades_to_serial_and_still_finishes(
 
 @fork_only
 def test_hangs_become_timeouts_then_degrade(monkeypatch, chaos_experiment):
-    clean = ParallelRunner(jobs=1, use_cache=False).run("CZ")
+    clean = ParallelRunner(jobs=1).run("CZ")
 
     monkeypatch.setenv("REPRO_CHAOS", "hang:1.0")
     monkeypatch.setenv("REPRO_CHAOS_HANG_SECONDS", "60")
     chaotic = ParallelRunner(
-        jobs=2, use_cache=False, task_timeout=0.5,
+        jobs=2, task_timeout=0.5,
         retry=RetryPolicy(max_attempts=2, base_delay=0.01),
     )
     survived = chaotic.run("CZ")
@@ -239,7 +234,6 @@ def _bad_execute(params):
 
 @pytest.fixture
 def buggy_experiment():
-    registry["BZ"] = _cz_run
     register_tasks(
         "BZ",
         lambda **_: [
@@ -254,7 +248,7 @@ def buggy_experiment():
 
 
 def test_task_exceptions_are_contained_not_retried(buggy_experiment):
-    runner = ParallelRunner(jobs=1, use_cache=False)
+    runner = ParallelRunner(jobs=1)
     output = runner.run("BZ")
     assert output.title == "FAILED"
     assert "1 of 3 task(s) failed" in output.text

@@ -124,7 +124,7 @@ def test_partial_cache_overlap_only_computes_new_seeds(tmp_path):
 
 def test_no_cache_mode_touches_no_disk(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "never-created"))
-    runner = ParallelRunner(jobs=1, use_cache=False)
+    runner = ParallelRunner(jobs=1)
     runner.run("R1", days=1.0, seeds=(1,))
     assert runner.cache_stats is None
     assert not (tmp_path / "never-created").exists()
@@ -143,17 +143,13 @@ def test_run_many_returns_outputs_in_request_order(tmp_path):
 
 def test_pool_execution_matches_inline(tmp_path):
     knobs = dict(days=1.0, seeds=(1, 2))
-    inline = ParallelRunner(jobs=1, use_cache=False).run("R1", **knobs)
-    pooled = ParallelRunner(jobs=2, use_cache=False).run("R1", **knobs)
+    inline = ParallelRunner(jobs=1).run("R1", **knobs)
+    pooled = ParallelRunner(jobs=2).run("R1", **knobs)
     assert pooled.text == inline.text
     assert pooled.data == inline.data
 
 
 # -- timeouts and containment --------------------------------------------------
-
-def _px_run(**knobs):
-    raise NotImplementedError("PX only runs via its task plan")
-
 
 def _px_plan(sleep=0.0, **_knobs):
     return [ExperimentTask("PX", 0, {"seed": 1, "sleep": sleep}, 1)]
@@ -169,7 +165,6 @@ def _px_merge(partials, **_knobs):
 
 
 def _register_px(timeout=None):
-    registry["PX"] = _px_run
     register_tasks("PX", _px_plan, _px_execute, _px_merge, timeout=timeout)
 
 
@@ -186,7 +181,6 @@ def test_runner_rejects_nonpositive_timeout():
 
 
 def test_register_tasks_rejects_nonpositive_timeout(px_cleanup):
-    registry["PX"] = _px_run
     with pytest.raises(ValueError, match="timeout must be positive"):
         register_tasks("PX", _px_plan, _px_execute, _px_merge, timeout=-1.0)
 
@@ -200,7 +194,7 @@ def test_plan_timeout_reports_declared_override(px_cleanup):
 def test_plan_timeout_override_beats_runner_default(px_cleanup):
     _register_px(timeout=30.0)  # generous: the experiment knows its cost
     runner = ParallelRunner(
-        jobs=1, use_cache=False, task_timeout=0.05,
+        jobs=1, task_timeout=0.05,
         retry=RetryPolicy(max_attempts=1),
     )
     output = runner.run("PX", sleep=0.3)  # would blow the runner default
@@ -211,7 +205,7 @@ def test_plan_timeout_override_beats_runner_default(px_cleanup):
 def test_timeout_exhaustion_becomes_structured_failure(px_cleanup):
     _register_px()
     runner = ParallelRunner(
-        jobs=1, use_cache=False, task_timeout=0.1,
+        jobs=1, task_timeout=0.1,
         retry=RetryPolicy(max_attempts=2, base_delay=0.01),
     )
     output = runner.run("PX", sleep=30.0)
@@ -226,7 +220,7 @@ def test_timeout_exhaustion_becomes_structured_failure(px_cleanup):
 def test_failed_experiment_does_not_abort_the_sweep(px_cleanup, tmp_path):
     _register_px()
     runner = ParallelRunner(
-        jobs=1, use_cache=False, task_timeout=0.1,
+        jobs=1, task_timeout=0.1,
         retry=RetryPolicy(max_attempts=1),
     )
     broken, healthy = runner.run_many(
@@ -265,7 +259,7 @@ def test_submission_to_broken_pool_is_contained(px_cleanup):
 
     _register_px()
     runner = ParallelRunner(
-        jobs=2, use_cache=False, retry=RetryPolicy(max_attempts=1)
+        jobs=2, retry=RetryPolicy(max_attempts=1)
     )
     (task,) = plan_tasks("PX")
     sink = {}
@@ -281,7 +275,7 @@ def test_submission_to_broken_pool_is_contained(px_cleanup):
 def test_runner_journals_starts_and_completions(px_cleanup, tmp_path):
     _register_px()
     journal = RunJournal.create(tmp_path / "runs")
-    runner = ParallelRunner(jobs=1, use_cache=False, journal=journal)
+    runner = ParallelRunner(jobs=1, journal=journal)
     runner.run("PX")
     journal.close()
     events = [e["event"] for e in journal.events()]

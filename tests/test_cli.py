@@ -19,12 +19,12 @@ def test_taxonomy_prints_table(capsys):
 
 
 def test_run_unknown_experiment_fails(capsys):
-    assert main(["run", "T99"]) == 2
+    assert main(["run", "T99", "--no-cache"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
 
 
 def test_run_executes_experiment(capsys):
-    assert main(["run", "f3", "--days", "2", "--seed", "5"]) == 0
+    assert main(["run", "f3", "--days", "2", "--seed", "5", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "F3" in out
     assert "EASY" in out
@@ -36,21 +36,31 @@ def test_missing_command_errors():
 
 
 def test_report_subset(capsys):
-    assert main(["report", "--fast", "--only", "A1"]) == 0
+    assert main(["run-all", "--fast", "--only", "A1", "--jobs", "1",
+                 "--no-cache", "--no-journal"]) == 0
     out = capsys.readouterr().out
-    assert "A1" in out and "regenerated in" in out
+    assert "A1" in out and "regenerated in" not in out
 
 
-def test_report_unknown_experiment(tmp_path):
-    import pytest as _pytest
-    with _pytest.raises(KeyError):
-        main(["report", "--only", "ZZ"])
+def test_report_unknown_experiment(capsys):
+    assert main(["run-all", "--fast", "--only", "ZZ", "--jobs", "1",
+                 "--no-cache", "--no-journal"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown experiments" in captured.err
+    assert captured.out == ""  # no partial report on stdout
 
 
 def test_report_to_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
-    assert main(["report", "--fast", "--only", "A2", "--out", str(target)]) == 0
+    assert main(["run-all", "--fast", "--only", "A2", "--jobs", "1",
+                 "--no-cache", "--no-journal", "--out", str(target)]) == 0
     assert "A2" in target.read_text()
+
+
+def test_report_subcommand_is_gone(capsys):
+    # run-all is the one way to regenerate the report.
+    with pytest.raises(SystemExit):
+        main(["report", "--fast"])
 
 
 # -- run-all / parallel / caching ---------------------------------------------
