@@ -8,17 +8,18 @@ Usage::
     python -m repro run R1 --jobs 4     # fan its replicates over 4 workers
     python -m repro run-all --fast      # the full suite, parallel + cached
     python -m repro run-all --resume 20260806-101500-ab12cd
-    python -m repro cache info          # result-cache location and size
+    python -m repro cache info          # result cache + artifact store sizes
     python -m repro taxonomy            # print the modality taxonomy
     python -m repro profile T2          # event-kernel hot-path table
     python -m repro stats               # render the latest telemetry sidecar
 
 ``run-all`` and ``run`` both execute through the parallel runner with the
 same defaults and accept ``--jobs N`` (default: ``REPRO_JOBS`` env, then CPU
-count), ``--no-cache``, ``--task-timeout SECONDS``, ``--retries N``,
-``--no-artifacts`` / ``--artifacts-dir`` (the campaign artifact store behind
-the runner's simulate-once/measure-everywhere two-stage DAG) and
-``--timings`` (per-stage wall-clock and campaign dedup counters on stderr).  ``run-all`` additionally journals its progress under
+count), ``--no-cache`` (turns off both on-disk stores under ``--cache-dir``:
+the result cache and the campaign artifact store behind the runner's
+simulate-once/measure-everywhere two-stage DAG), ``--task-timeout SECONDS``,
+``--retries N`` and ``--timings`` (per-stage wall-clock and campaign dedup
+counters on stderr).  ``run-all`` additionally journals its progress under
 ``<runs-dir>/<run-id>/journal.jsonl`` (``--runs-dir``, default ``runs/`` or
 ``REPRO_RUNS_DIR``) so an interrupted sweep can be continued with
 ``--resume <run-id>`` — completed tasks are skipped via the result cache
@@ -43,21 +44,17 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: REPRO_JOBS or CPU count)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every task; do not read or write the result cache")
+                        help="recompute every task and campaign; do not read or "
+                             "write the result cache or the artifact store")
     parser.add_argument("--cache-dir", default=None,
-                        help="result-cache directory (default: REPRO_CACHE_DIR or ~/.cache/repro)")
+                        help="directory of both stores (default: REPRO_CACHE_DIR "
+                             "or ~/.cache/repro)")
     parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                         help="wall-clock limit per task; overruns are retried, "
                              "then recorded as failures (default: unlimited)")
     parser.add_argument("--retries", type=int, default=4, metavar="N",
                         help="retries per task after transient failures — worker "
                              "crashes and timeouts, never task exceptions (default: 4)")
-    parser.add_argument("--no-artifacts", action="store_true",
-                        help="disable the campaign artifact store: every task "
-                             "re-simulates its campaign (slower, same bytes)")
-    parser.add_argument("--artifacts-dir", default=None,
-                        help="campaign artifact store directory (default: "
-                             "<cache-dir>/artifacts or REPRO_ARTIFACT_DIR)")
     parser.add_argument("--timings", action="store_true",
                         help="print per-stage wall-clock and campaign dedup "
                              "counters to stderr")
@@ -79,12 +76,10 @@ def _build_runner(args, journal=None, resume_keys=(), run_id=None):
     chaos_from_env()  # fail fast on a malformed REPRO_CHAOS spec
     if args.retries < 0:
         raise ValueError("--retries must be >= 0")
-    cache = None
+    cache = artifacts = None
     if not args.no_cache:
-        cache = ResultCache(root=args.cache_dir) if args.cache_dir else ResultCache()
-    artifacts = None
-    if not args.no_cache and not args.no_artifacts:
-        artifacts = ArtifactStore(root=_artifact_root(args))
+        cache = ResultCache.under(args.cache_dir)
+        artifacts = ArtifactStore.under(args.cache_dir)
     return ParallelRunner(
         jobs=args.jobs,
         cache=cache,
@@ -98,19 +93,6 @@ def _build_runner(args, journal=None, resume_keys=(), run_id=None):
         # the default path keeps the kernel's no-tracer fast path.
         trace_sim=getattr(args, "trace", None) is not None,
     )
-
-
-def _artifact_root(args):
-    """``--artifacts-dir`` > ``<--cache-dir>/artifacts`` > env/default."""
-    from pathlib import Path
-
-    from repro.runner import default_artifact_dir
-
-    if getattr(args, "artifacts_dir", None):
-        return Path(args.artifacts_dir)
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir) / "artifacts"
-    return default_artifact_dir()
 
 
 def _fault_note(runner) -> str:
@@ -154,7 +136,7 @@ def _write_sidecar(runner, path) -> None:
 
 
 def _print_last_run_rates(args) -> None:
-    """``cache stats``: hit rates of the latest run, from its sidecar.
+    """``cache info``: hit rates of the latest run, from its sidecar.
 
     The sidecar's ``cache`` block is a snapshot of the registry-backed
     :class:`~repro.runner.cache.CacheStats`; campaign reuse comes from the
@@ -281,19 +263,17 @@ def main(argv: list[str] | None = None) -> int:
 
     cache_parser = sub.add_parser(
         "cache",
-        help="inspect or clear the result cache and campaign artifact store",
+        help="inspect, prune or clear the result cache and campaign artifact store",
     )
     cache_parser.add_argument(
-        "action", choices=["info", "clear", "stats", "gc"],
-        help="info/clear: the result cache; stats: result cache + artifact "
-             "store counts and bytes; gc: prune artifacts whose code-version "
-             "no longer matches the working tree",
+        "action", choices=["info", "clear", "gc"],
+        help="info: counts and bytes of both stores plus the latest run's "
+             "hit rates; gc: prune entries whose code version no longer "
+             "matches the working tree; clear: delete every entry",
     )
     cache_parser.add_argument("--cache-dir", default=None,
-                              help="cache directory (default: REPRO_CACHE_DIR or ~/.cache/repro)")
-    cache_parser.add_argument("--artifacts-dir", default=None,
-                              help="artifact store directory (default: "
-                                   "<cache-dir>/artifacts or REPRO_ARTIFACT_DIR)")
+                              help="directory of both stores (default: "
+                                   "REPRO_CACHE_DIR or ~/.cache/repro)")
     cache_parser.add_argument("--runs-dir", default=None,
                               help="run-journal directory searched for the "
                                    "latest telemetry sidecar (default: "
@@ -490,36 +470,28 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "cache":
         from repro.runner import ArtifactStore, ResultCache
 
-        cache = ResultCache(root=args.cache_dir) if args.cache_dir else ResultCache()
+        cache = ResultCache.under(args.cache_dir)
+        store = ArtifactStore.under(args.cache_dir)
         if args.action == "clear":
-            removed = cache.clear()
-            print(f"removed {removed} cached results from {cache.root}")
-        elif args.action == "stats":
-            store = ArtifactStore(root=_artifact_root(args))
+            print(f"removed {cache.clear()} cached results from {cache.root} "
+                  f"and {store.clear()} artifact(s) from {store.root}")
+        elif args.action == "gc":
+            print(f"pruned {store.gc()} stale artifact(s) from {store.root} "
+                  f"and {cache.gc()} stale result(s) from {cache.root} "
+                  f"(kept code version {cache.version})")
+        else:
             print(f"cache dir:    {cache.root}")
-            print(f"entries:      {len(cache.entries())}")
+            print(f"entries:      {len(cache.entries())}"
+                  f" ({len(cache.current_entries())} current code version)")
+            print(f"quarantined:  {len(cache.quarantined_entries())}")
             print(f"size:         {cache.size_bytes()} bytes")
             print(f"artifact dir: {store.root}")
             print(f"artifacts:    {len(store.entries())}"
                   f" ({len(store.current_entries())} current code version)")
-            print(f"quarantined:  {len(store.quarantined_entries())}")
+            print(f"artifact quarantined: {len(store.quarantined_entries())}")
             print(f"artifact size: {store.size_bytes()} bytes")
-            print(f"code version: {store.version}")
-            _print_last_run_rates(args)
-        elif args.action == "gc":
-            store = ArtifactStore(root=_artifact_root(args))
-            removed = store.gc()
-            print(
-                f"pruned {removed} stale artifact(s) from {store.root} "
-                f"(kept code version {store.version})"
-            )
-        else:
-            entries = cache.entries()
-            print(f"cache dir:    {cache.root}")
-            print(f"entries:      {len(entries)}")
-            print(f"quarantined:  {len(cache.quarantined_entries())}")
-            print(f"size:         {cache.size_bytes()} bytes")
             print(f"code version: {cache.version}")
+            _print_last_run_rates(args)
         return 0
 
     from repro.experiments import registry

@@ -21,7 +21,7 @@ Sidecar schema (``repro-telemetry/1``), one JSON object per line:
   the wall-domain metrics/stage/campaign snapshot (always, last line).
 
 :func:`read_sidecar` / :func:`validate_sidecar` are the consuming half —
-``repro stats``, ``repro cache stats`` and the CI schema check all go
+``repro stats``, ``repro cache info`` and the CI schema check all go
 through them.
 """
 

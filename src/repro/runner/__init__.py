@@ -6,8 +6,8 @@ single-task plan) and executes them either inline (``jobs=1``) or across a
 :class:`concurrent.futures.ProcessPoolExecutor`.  Partial results are merged
 in task-index order, so the assembled output is byte-identical regardless of
 worker count or scheduling order.  An on-disk :class:`ResultCache` keyed by
-``(experiment, params-hash, seed, code-version)`` makes re-running a sweep
-recompute only what changed.
+``(experiment, params-hash, seed)`` under a code-version directory makes
+re-running a sweep recompute only what changed.
 
 With an :class:`ArtifactStore` attached, execution becomes a two-stage task
 DAG: the distinct campaigns the planned tasks depend on (declared via
@@ -26,11 +26,7 @@ task exceptions are contained as structured :class:`TaskFailure` records; a
 injects exactly these failures to prove it.
 """
 
-from repro.runner.artifacts import (
-    ArtifactStats,
-    ArtifactStore,
-    default_artifact_dir,
-)
+from repro.runner.artifacts import ArtifactStats, ArtifactStore
 from repro.runner.cache import CacheStats, ResultCache, code_version
 from repro.runner.chaos import ChaosConfig, chaos_from_env
 from repro.runner.journal import RunJournal, default_runs_dir, new_run_id, task_key
@@ -49,7 +45,6 @@ __all__ = [
     "TaskFailure",
     "chaos_from_env",
     "code_version",
-    "default_artifact_dir",
     "default_runs_dir",
     "new_run_id",
     "resolve_jobs",

@@ -3,19 +3,15 @@
 The parallel runner's campaign stage serializes each distinct campaign's
 :class:`~repro.workloads.synthetic.CampaignArtifact` here so the measurement
 stage — running in any worker process — can load it instead of re-simulating.
-The store is keyed like the result cache, ``(campaign-knobs-hash, seed,
-code-version)``, laid out as::
 
-    <root>/<code-version>/<knobs-hash>-s<seed>.pkl
-    <root>/quarantine/            # damaged entries, moved aside on read
-
-Entries reuse the result cache's checksummed format (magic + SHA-256 +
-pickle): a torn or bit-flipped artifact is *quarantined* on load and treated
-as a miss — the caller falls back to a live simulation, so corruption can
-slow a sweep down but never change its bytes.  Writes are atomic
-(temp-file + fsync + rename) for the same reason, and the chaos harness's
-``corrupt`` injection applies to artifact writes exactly as it does to
-result-cache writes.
+:class:`ArtifactStore` is an :class:`~repro.runner.cache.EntryStore`: the
+result cache's checksummed format, atomic write, quarantine-on-read, chaos
+``corrupt`` hook, ``<root>/<code-version>/<name>.pkl`` layout and ``gc``.
+It adds only its entry name, ``<knobs-hash>-s<seed>``, its root
+``<cache-dir>/artifacts``, the :class:`CampaignArtifact` type check and its
+counters.  A damaged artifact is quarantined on load and treated as a miss —
+the caller falls back to a live simulation, so corruption can slow a sweep
+down but never change its bytes.
 
 Per-process plumbing: workers activate the store once
 (:func:`ensure_active_store`); every load goes through
@@ -30,50 +26,26 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import ClassVar, Optional
 
-from repro.runner.cache import (
-    canonical_params,
-    code_version,
-    default_cache_dir,
-    read_entry,
-)
+from repro.runner.cache import EntryStore, canonical_params
 from repro.workloads.synthetic import CampaignArtifact, CampaignKey
 
 __all__ = [
     "ArtifactStats",
     "ArtifactStore",
-    "ARTIFACT_DIR_ENV",
     "STATS",
     "active_store",
     "activated_store",
-    "campaign_stage",
-    "default_artifact_dir",
     "ensure_active_store",
-    "in_campaign_stage",
     "record_metrics",
     "stats_snapshot",
     "stats_delta",
 ]
-
-ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
-QUARANTINE_DIR = "quarantine"
-_SUFFIX = ".pkl"
-_MAGIC = b"RPC1"  # same framing as the result cache
-
-
-def default_artifact_dir() -> Path:
-    """``REPRO_ARTIFACT_DIR`` env, else ``<result-cache-dir>/artifacts``."""
-    env = os.environ.get(ARTIFACT_DIR_ENV)
-    if env:
-        return Path(env)
-    return default_cache_dir() / "artifacts"
 
 
 @dataclass
@@ -129,7 +101,6 @@ def record_metrics(metrics, delta: dict) -> None:
 # -- active-store plumbing -----------------------------------------------------
 
 _active: Optional["ArtifactStore"] = None
-_stage_depth = 0
 
 
 def active_store() -> Optional["ArtifactStore"]:
@@ -165,172 +136,45 @@ def activated_store(store: Optional["ArtifactStore"]):
         _active = previous
 
 
-@contextmanager
-def campaign_stage():
-    """Mark the current execution as stage-1 (an *expected* simulation)."""
-    global _stage_depth
-    _stage_depth += 1
-    try:
-        yield
-    finally:
-        _stage_depth -= 1
-
-
-def in_campaign_stage() -> bool:
-    return _stage_depth > 0
-
-
-def note_simulation() -> None:
-    """Record one live campaign simulation under an active store."""
-    STATS.simulations += 1
-    if not in_campaign_stage():
-        STATS.fallbacks += 1
-
-
 # -- the store itself ----------------------------------------------------------
 
 @dataclass
-class ArtifactStore:
+class ArtifactStore(EntryStore):
     """Checksummed pickle-per-campaign store; see module docstring."""
 
-    root: Path = field(default_factory=default_artifact_dir)
-    version: str = field(default_factory=code_version)
+    dirname: ClassVar[str] = "artifacts"
+    entry_type: ClassVar[type] = CampaignArtifact
 
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
+    @property
+    def stats(self) -> ArtifactStats:
+        """The process-wide counters (:data:`STATS`)."""
+        return STATS
 
-    # -- keys ----------------------------------------------------------------
     @staticmethod
     def knobs_hash(key: CampaignKey) -> str:
         knobs = {k: v for k, v in key.asdict().items() if k != "seed"}
         material = canonical_params(knobs)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
+    @classmethod
+    def _name(cls, key: CampaignKey) -> str:
+        return f"{cls.knobs_hash(key)}-s{key.seed}"
+
     def path_for(self, key: CampaignKey) -> Path:
-        name = f"{self.knobs_hash(key)}-s{key.seed}{_SUFFIX}"
-        return self.root / self.version / name
+        return self._path(self._name(key))
 
-    @property
-    def quarantine_root(self) -> Path:
-        return self.root / QUARANTINE_DIR
-
-    # -- read side -----------------------------------------------------------
     def has(self, key: CampaignKey) -> bool:
         return self.path_for(key).exists()
 
     def load(self, key: CampaignKey) -> Optional[CampaignArtifact]:
         """The stored artifact, or ``None`` on miss (damage = quarantine + miss)."""
-        path = self.path_for(key)
-        if not path.exists():
-            return None
         started = time.monotonic()
-        try:
-            artifact = read_entry(path)
-            if not isinstance(artifact, CampaignArtifact):
-                raise ValueError(f"{path}: not a CampaignArtifact")
-        except Exception:
-            self._quarantine(path)
+        found, artifact = self._read(self.path_for(key))
+        if not found:
             return None
         STATS.loads += 1
         STATS.load_seconds += time.monotonic() - started
         return artifact
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a damaged artifact aside (forensics beat deletion)."""
-        STATS.quarantined += 1
-        try:
-            self.quarantine_root.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_root / path.name)
-        except OSError:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    # -- write side ----------------------------------------------------------
     def save(self, key: CampaignKey, artifact: CampaignArtifact) -> None:
-        """Store atomically (temp file + fsync + rename)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = _MAGIC + hashlib.sha256(payload).digest() + payload
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=_SUFFIX + ".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        STATS.writes += 1
-        self._chaos_corrupt(path)
-
-    def _chaos_corrupt(self, path: Path) -> None:
-        """Chaos-harness hook: maybe damage the artifact we just wrote."""
-        from repro.runner.chaos import chaos_from_env, maybe_corrupt_entry
-
-        config = chaos_from_env()
-        if config.corrupt:
-            # The path stem is the stable (knobs-hash, seed) identity.
-            maybe_corrupt_entry(config, path, f"artifact/{path.stem}")
-
-    # -- maintenance ---------------------------------------------------------
-    def entries(self) -> list[Path]:
-        """Every stored artifact, current code version or not."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path
-            for path in self.root.glob(f"*/*{_SUFFIX}")
-            if path.parent.name != QUARANTINE_DIR
-        )
-
-    def current_entries(self) -> list[Path]:
-        version_dir = self.root / self.version
-        if not version_dir.is_dir():
-            return []
-        return sorted(version_dir.glob(f"*{_SUFFIX}"))
-
-    def quarantined_entries(self) -> list[Path]:
-        if not self.quarantine_root.is_dir():
-            return []
-        return sorted(self.quarantine_root.glob(f"*{_SUFFIX}"))
-
-    def size_bytes(self) -> int:
-        return sum(path.stat().st_size for path in self.entries())
-
-    def gc(self) -> int:
-        """Prune artifacts whose code-version no longer matches; return count.
-
-        The version is the directory name, so a stale artifact is
-        recognizable without deserializing it; emptied version directories
-        are removed too.
-        """
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for version_dir in sorted(self.root.iterdir()):
-            if not version_dir.is_dir() or version_dir.name in (
-                self.version, QUARANTINE_DIR
-            ):
-                continue
-            for path in version_dir.glob(f"*{_SUFFIX}"):
-                path.unlink(missing_ok=True)
-                removed += 1
-            try:
-                version_dir.rmdir()
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.entries() + self.quarantined_entries():
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
+        self._write(self._name(key), artifact)

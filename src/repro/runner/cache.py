@@ -1,13 +1,23 @@
-"""On-disk result cache for experiment tasks.
+"""The on-disk entry store behind the result cache and the artifact store.
 
-Layout: one checksummed pickle per task under the cache root, named by the
-hex cache key.  The key is ``sha256(experiment_id | params-json | seed |
-code-version)`` where *params-json* is a canonical JSON rendering (sorted
-keys, tuples as lists) and *code-version* is a digest over every ``repro``
-source file — so editing any module invalidates the whole cache rather than
-serving results computed by old code.
+Both kinds of derived data the runner persists — per-task results
+(:class:`ResultCache`) and campaign artifacts
+(:class:`~repro.runner.artifacts.ArtifactStore`) — go through one
+:class:`EntryStore`: one format, one write path, one layout, one ``gc``.
+Under the cache dir each store has its own root (``results/`` and
+``artifacts/``), laid out as::
 
-Entry format (robustness first — the cache must never crash a sweep):
+    <root>/<code-version>/<name>.pkl
+    <root>/quarantine/            # damaged entries, moved aside on read
+
+*code-version* is a digest over every ``repro`` source file, so editing any
+module makes every stored entry stale rather than serving values computed by
+old code; :meth:`EntryStore.gc` prunes the stale version directories.  A
+result entry is named by :func:`~repro.runner.journal.task_key`
+``(experiment_id, canonical params, seed)``, the identity the run journal,
+chaos draws and telemetry use too.
+
+Entry format (robustness first — the store must never crash a sweep):
 
 * bytes 0–3: magic ``b"RPC1"``;
 * bytes 4–35: SHA-256 of the payload;
@@ -15,12 +25,13 @@ Entry format (robustness first — the cache must never crash a sweep):
 
 Reads verify the checksum; a damaged or foreign entry is **quarantined**
 (moved into ``<root>/quarantine/``) and counted, never raised — the caller
-just sees a miss and recomputes.  Writes go to a temp file *in the cache
+just sees a miss and recomputes.  Writes go to a temp file *in the entry's
 directory* (same filesystem, so the final rename is atomic), are fsynced
 before the rename, and the directory is fsynced after it: a crash mid-write
-can never leave a torn entry behind.
+can never leave a torn entry behind.  The chaos harness's ``corrupt``
+injection damages fresh writes of both stores.
 
-The cache root resolves, in order: explicit argument, ``REPRO_CACHE_DIR``,
+The cache dir resolves, in order: explicit argument, ``REPRO_CACHE_DIR``,
 ``$XDG_CACHE_HOME/repro``, ``~/.cache/repro``.
 """
 
@@ -33,12 +44,14 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from repro.obs.metrics import CounterAttr, MetricsRegistry
+from repro.runner.journal import task_key
 
 __all__ = [
     "CacheStats",
+    "EntryStore",
     "ResultCache",
     "canonical_params",
     "code_version",
@@ -147,42 +160,52 @@ class CacheStats:
 
 
 @dataclass
-class ResultCache:
-    """Checksummed pickle-per-task cache; see module docstring."""
+class EntryStore:
+    """One checksummed pickle per entry, laid out by code version.
 
-    root: Path = field(default_factory=default_cache_dir)
+    The shared half of :class:`ResultCache` and
+    :class:`~repro.runner.artifacts.ArtifactStore`; see module docstring.
+    A subclass names its entries, picks its ``dirname`` below the cache
+    dir, optionally narrows ``entry_type``, and provides ``stats`` with
+    ``writes`` and ``quarantined`` counters.
+    """
+
+    root: Path
     version: str = field(default_factory=code_version)
-    stats: CacheStats = field(default_factory=CacheStats)
+
+    #: the store's directory below the cache dir
+    dirname: ClassVar[str] = ""
+    #: a loaded payload of any other type counts as damage
+    entry_type: ClassVar[type] = object
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
 
-    def key(self, experiment_id: str, params: dict, seed: int) -> str:
-        material = "\0".join(
-            [experiment_id, canonical_params(params), str(int(seed)), self.version]
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    @classmethod
+    def under(cls, cache_dir: Optional[str | os.PathLike] = None):
+        """The store at ``<cache_dir>/<dirname>`` (None: :func:`default_cache_dir`)."""
+        return cls(root=Path(cache_dir or default_cache_dir()) / cls.dirname)
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}{_SUFFIX}"
+    def _path(self, name: str) -> Path:
+        return self.root / self.version / f"{name}{_SUFFIX}"
 
     @property
     def quarantine_root(self) -> Path:
         return self.root / QUARANTINE_DIR
 
-    def get(self, experiment_id: str, params: dict, seed: int) -> tuple[bool, Any]:
-        """``(hit, value)`` — a damaged entry is quarantined and is a miss."""
-        path = self._path(self.key(experiment_id, params, seed))
-        if path.exists():
-            try:
-                value = read_entry(path)
-            except Exception:
-                self._quarantine(path)
-            else:
-                self.stats.hits += 1
-                return True, value
-        self.stats.misses += 1
-        return False, None
+    # -- read side -----------------------------------------------------------
+    def _read(self, path: Path) -> tuple[bool, Any]:
+        """``(found, value)`` — a damaged entry is quarantined, not found."""
+        if not path.exists():
+            return False, None
+        try:
+            value = read_entry(path)
+            if not isinstance(value, self.entry_type):
+                raise ValueError(f"{path}: not a {self.entry_type.__name__}")
+        except Exception:
+            self._quarantine(path)
+            return False, None
+        return True, value
 
     def _quarantine(self, path: Path) -> None:
         """Move a damaged entry aside (forensics beat deletion) and count it."""
@@ -197,28 +220,28 @@ class ResultCache:
             except OSError:
                 pass
 
-    def put(self, experiment_id: str, params: dict, seed: int, value: Any) -> None:
-        """Store atomically: temp file in the cache dir, fsync, rename, fsync.
+    # -- write side ----------------------------------------------------------
+    def _write(self, name: str, value: Any) -> None:
+        """Store atomically: temp file in the entry's dir, fsync, rename, fsync.
 
-        The temp file lives in the cache directory itself so the final
-        ``os.replace`` stays on one filesystem (rename atomicity); the entry
-        is fsynced before the rename and the directory after, so a crash at
-        any instant leaves either the old state or the complete new entry —
-        never a torn one.
+        The temp file lives next to the entry so the final ``os.replace``
+        stays on one filesystem (rename atomicity); the entry is fsynced
+        before the rename and the directory after, so a crash at any instant
+        leaves either the old state or the complete new entry — never a torn
+        one.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        key = self.key(experiment_id, params, seed)
-        path = self._path(key)
+        path = self._path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = _MAGIC + hashlib.sha256(payload).digest() + payload
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=_SUFFIX + ".tmp")
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=_SUFFIX + ".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
-            self._fsync_dir()
+            _fsync_dir(path.parent)
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -226,31 +249,32 @@ class ResultCache:
                 pass
             raise
         self.stats.writes += 1
-        self._chaos_corrupt(path, key)
+        self._chaos_corrupt(path, name)
 
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(self.root, os.O_RDONLY)
-        except OSError:  # pragma: no cover - e.g. platforms without dir fds
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-
-    def _chaos_corrupt(self, path: Path, key: str) -> None:
+    def _chaos_corrupt(self, path: Path, name: str) -> None:
         """Chaos-harness hook: maybe damage the entry we just wrote."""
         from repro.runner.chaos import chaos_from_env, maybe_corrupt_entry
 
         config = chaos_from_env()
         if config.corrupt:
-            maybe_corrupt_entry(config, path, key)
+            maybe_corrupt_entry(config, path, name)
 
     # -- maintenance ---------------------------------------------------------
     def entries(self) -> list[Path]:
+        """Every stored entry, current code version or not."""
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob(f"*{_SUFFIX}"))
+        return sorted(
+            path
+            for path in self.root.glob(f"*/*{_SUFFIX}")
+            if path.parent.name != QUARANTINE_DIR
+        )
+
+    def current_entries(self) -> list[Path]:
+        version_dir = self.root / self.version
+        if not version_dir.is_dir():
+            return []
+        return sorted(version_dir.glob(f"*{_SUFFIX}"))
 
     def quarantined_entries(self) -> list[Path]:
         if not self.quarantine_root.is_dir():
@@ -260,6 +284,30 @@ class ResultCache:
     def size_bytes(self) -> int:
         return sum(path.stat().st_size for path in self.entries())
 
+    def gc(self) -> int:
+        """Prune entries whose code version no longer matches; return count.
+
+        The version is the directory name, so a stale entry is recognizable
+        without deserializing it; emptied version directories are removed
+        too, and ``quarantine/`` is left alone.
+        """
+        if not self.root.is_dir():
+            return 0
+        removed = 0
+        for version_dir in sorted(self.root.iterdir()):
+            if not version_dir.is_dir() or version_dir.name in (
+                self.version, QUARANTINE_DIR
+            ):
+                continue
+            for path in version_dir.glob(f"*{_SUFFIX}"):
+                path.unlink(missing_ok=True)
+                removed += 1
+            try:
+                version_dir.rmdir()
+            except OSError:
+                pass
+        return removed
+
     def clear(self) -> int:
         """Delete every entry (quarantined ones included); returns the count."""
         removed = 0
@@ -267,3 +315,35 @@ class ResultCache:
             path.unlink(missing_ok=True)
             removed += 1
         return removed
+
+
+def _fsync_dir(directory: Path) -> None:
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - e.g. platforms without dir fds
+        return
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+@dataclass
+class ResultCache(EntryStore):
+    """Per-task results, named by :func:`~repro.runner.journal.task_key`."""
+
+    stats: CacheStats = field(default_factory=CacheStats)
+
+    dirname: ClassVar[str] = "results"
+
+    def get(self, experiment_id: str, params: dict, seed: int) -> tuple[bool, Any]:
+        """``(hit, value)`` — a damaged entry is quarantined and is a miss."""
+        hit, value = self._read(self._path(task_key(experiment_id, params, seed)))
+        if hit:
+            self.stats.hits += 1
+        else:
+            self.stats.misses += 1
+        return hit, value
+
+    def put(self, experiment_id: str, params: dict, seed: int, value: Any) -> None:
+        self._write(task_key(experiment_id, params, seed), value)

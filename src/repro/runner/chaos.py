@@ -12,8 +12,9 @@ of ``kind:probability`` entries::
 * ``hang`` — the worker sleeps ``REPRO_CHAOS_HANG_SECONDS`` (default 30)
   before doing the work, simulating a stuck task; with a task timeout
   configured the worker-side alarm converts it into a retryable timeout.
-* ``corrupt`` — the just-written result-cache entry has bytes flipped, so
-  the next read must detect the damage (checksum) and quarantine it.
+* ``corrupt`` — the just-written entry of either on-disk store (a task
+  result or a campaign artifact) has bytes flipped, so the next read must
+  detect the damage (checksum) and quarantine it.
 
 Every decision is drawn from a deterministic RNG keyed by
 ``(REPRO_CHAOS_SEED, site key, attempt)``: the same sweep under the same
@@ -123,13 +124,13 @@ class ChaosConfig:
             time.sleep(self.hang_seconds)
 
 
-#: put() sequence numbers per cache key, so repeated writes of one key draw
-#: fresh corruption decisions (process-local; chaos only).
+#: Write sequence numbers per entry name, so repeated writes of one entry
+#: draw fresh corruption decisions (process-local; chaos only).
 _corrupt_nonces: dict[str, int] = {}
 
 
 def maybe_corrupt_entry(config: "ChaosConfig", path: Path, cache_key: str) -> bool:
-    """Flip bytes in a just-written cache entry with the configured odds."""
+    """Flip bytes in a just-written store entry with the configured odds."""
     if not config.corrupt:
         return False
     nonce = _corrupt_nonces.get(cache_key, 0)

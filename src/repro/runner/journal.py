@@ -45,12 +45,12 @@ def new_run_id() -> str:
 
 
 def task_key(experiment_id: str, params: dict, seed: int) -> str:
-    """Stable identity of one task within a run (code-version agnostic).
+    """Stable identity of one task (code-version agnostic).
 
-    Matches the cache key's ``(experiment, canonical params, seed)``
-    components but deliberately omits the code version: a resume after an
-    editor save should still *recognize* the task (and then recompute it
-    because the cache key misses).
+    The run journal, chaos draws, telemetry and the result cache's entry
+    names all use it.  It deliberately omits the code version: a resume
+    after an editor save should still *recognize* the task (and then
+    recompute it, because the result cache keeps entries per code version).
     """
     import hashlib
 

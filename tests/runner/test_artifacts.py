@@ -5,12 +5,7 @@ import pickle
 import pytest
 
 from repro.runner import artifacts as artifact_mod
-from repro.runner.artifacts import (
-    ArtifactStore,
-    default_artifact_dir,
-    stats_delta,
-    stats_snapshot,
-)
+from repro.runner.artifacts import ArtifactStore, stats_delta, stats_snapshot
 from repro.runner.cache import code_version
 from repro.workloads import run_scenario
 from repro.workloads.synthetic import CampaignArtifact, CampaignKey
@@ -23,9 +18,9 @@ def key():
 
 @pytest.fixture(scope="module")
 def live_result(key):
-    # Job ids come from a process-global counter, so a re-simulation of the
-    # same config is NOT record-identical; fidelity is always measured
-    # against the exact result the artifact was extracted from.
+    # One live simulation shared by the module; an artifact is a pure
+    # function of its key, so any re-simulation of it is record-identical
+    # (see test_artifact_is_a_pure_function_of_its_key).
     return run_scenario(key.config())
 
 
@@ -100,6 +95,14 @@ def test_artifact_mirrors_every_live_measurement(key, artifact, live_result):
         assert summary.tag == live.tag
         assert summary.duration == live.duration
     assert artifact.config == result.config
+
+
+def test_artifact_is_a_pure_function_of_its_key(key, artifact):
+    # Whatever the process simulated before, the same key yields the same
+    # artifact: no process-global state (job ids, RNG) leaks between runs.
+    run_scenario(CampaignKey.make(days=2.0, seed=11, population_scale=0.02).config())
+    again = CampaignArtifact.from_result(run_scenario(key.config()), key=key)
+    assert again == artifact
 
 
 def test_stored_then_loaded_artifact_is_equal(tmp_path, key, artifact):
@@ -223,11 +226,6 @@ def test_store_version_is_code_version(tmp_path):
 
 
 # -- active-store plumbing -----------------------------------------------------
-
-def test_default_artifact_dir_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "elsewhere"))
-    assert default_artifact_dir() == tmp_path / "elsewhere"
-
 
 def test_ensure_active_store_reuses_per_root(monkeypatch, tmp_path):
     monkeypatch.setattr(artifact_mod, "_active", None)

@@ -1,13 +1,15 @@
-"""Tests for the on-disk result cache: key scheme, checksums, quarantine."""
+"""Tests for the on-disk entry store: key scheme, checksums, quarantine, gc."""
 
 import pytest
 
+from repro.runner.artifacts import ArtifactStore
 from repro.runner.cache import (
     ResultCache,
     code_version,
     default_cache_dir,
     read_entry,
 )
+from repro.runner.journal import task_key
 
 
 @pytest.fixture
@@ -29,23 +31,27 @@ def test_miss_on_empty_cache(cache):
 
 
 def test_key_depends_on_every_component(cache):
-    base = cache.key("T1", {"days": 5.0}, 1)
-    assert cache.key("T2", {"days": 5.0}, 1) != base
-    assert cache.key("T1", {"days": 6.0}, 1) != base
-    assert cache.key("T1", {"days": 5.0}, 2) != base
+    base = task_key("T1", {"days": 5.0}, 1)
+    assert task_key("T2", {"days": 5.0}, 1) != base
+    assert task_key("T1", {"days": 6.0}, 1) != base
+    assert task_key("T1", {"days": 5.0}, 2) != base
+    # The code version is the directory: another version's entry lives apart.
     other_version = ResultCache(root=cache.root, version="deadbeef")
-    assert other_version.key("T1", {"days": 5.0}, 1) != base
+    cache.put("T1", {"days": 5.0}, 1, "value")
+    other_version.put("T1", {"days": 5.0}, 1, "value")
+    assert cache.current_entries() != other_version.current_entries()
+    assert len(cache.entries()) == 2
 
 
-def test_key_is_insensitive_to_dict_ordering(cache):
-    a = cache.key("T1", {"days": 5.0, "seed": 3}, 1)
-    b = cache.key("T1", {"seed": 3, "days": 5.0}, 1)
+def test_key_is_insensitive_to_dict_ordering():
+    a = task_key("T1", {"days": 5.0, "seed": 3}, 1)
+    b = task_key("T1", {"seed": 3, "days": 5.0}, 1)
     assert a == b
 
 
-def test_key_distinguishes_tuple_knob_values(cache):
-    a = cache.key("R1", {"seeds": (1, 2)}, 1)
-    b = cache.key("R1", {"seeds": (1, 3)}, 1)
+def test_key_distinguishes_tuple_knob_values():
+    a = task_key("R1", {"seeds": (1, 2)}, 1)
+    b = task_key("R1", {"seeds": (1, 3)}, 1)
     assert a != b
 
 
@@ -116,7 +122,7 @@ def test_put_overwrites_atomically(cache):
     hit, value = cache.get("T1", {}, 1)
     assert hit and value == "new"
     # No leftover temp files from the write-and-rename protocol.
-    assert [p for p in cache.root.iterdir() if p.suffix == ".tmp"] == []
+    assert [p for p in cache.root.rglob("*") if p.suffix == ".tmp"] == []
 
 
 def test_entries_are_loadable_checksummed_blobs(cache):
@@ -144,3 +150,52 @@ def test_default_cache_dir_honors_env(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert default_cache_dir() == tmp_path / "xdg" / "repro"
+
+
+def test_default_roots_share_the_cache_dir(tmp_path):
+    assert ResultCache.under(tmp_path).root == tmp_path / "results"
+    assert ArtifactStore.under(tmp_path).root == tmp_path / "artifacts"
+
+
+def test_gc_prunes_only_stale_result_versions(cache):
+    cache.put("T1", {}, 1, "current")
+    stale = ResultCache(root=cache.root, version="0123456789abcdef")
+    stale.put("T1", {}, 1, "stale")
+    cache.quarantine_root.mkdir()
+    (cache.quarantine_root / "damaged.pkl").write_bytes(b"x")
+
+    assert cache.gc() == 1
+    assert cache.entries() == cache.current_entries()
+    assert len(cache.entries()) == 1
+    assert not (cache.root / stale.version).exists()
+    assert cache.get("T1", {}, 1) == (True, "current")
+    assert len(cache.quarantined_entries()) == 1
+
+
+@pytest.mark.parametrize("store_kind", ["results", "artifacts"])
+def test_writes_fsync_the_entry_directory(tmp_path, monkeypatch, store_kind):
+    import os
+    import stat
+
+    synced_dirs = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            synced_dirs.append(fd)
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    if store_kind == "results":
+        ResultCache(root=tmp_path).put("T1", {}, 1, "value")
+    else:
+        from repro.workloads.synthetic import CampaignArtifact, CampaignKey
+
+        key = CampaignKey.make(days=1.0, seed=1)
+        artifact = CampaignArtifact(
+            key=key, records=[], job_truth={}, identity_truth={},
+            active_identities=frozenset(), community_accounts=frozenset(),
+            total_nu=0.0, transfers=(),
+        )
+        ArtifactStore(root=tmp_path).save(key, artifact)
+    assert synced_dirs

@@ -243,7 +243,7 @@ def test_cache_info_and_clear(tmp_path, capsys):
     assert "entries:      0" in capsys.readouterr().out
 
 
-# -- campaign artifact store: stats / gc / --timings / --no-artifacts ----------
+# -- campaign artifact store: info / gc / --timings / --no-cache --------------
 
 def test_run_all_populates_the_artifact_store(tmp_path, capsys):
     code, _ = _run_all(tmp_path, "report.txt", "--jobs", "1")
@@ -254,12 +254,10 @@ def test_run_all_populates_the_artifact_store(tmp_path, capsys):
     assert list(artifacts.glob("*/*.pkl"))  # one per distinct campaign
 
 
-def test_no_artifacts_flag_disables_the_store_same_bytes(tmp_path, capsys):
+def test_no_cache_flag_disables_the_store_same_bytes(tmp_path, capsys):
     code, with_store = _run_all(tmp_path, "with.txt", "--jobs", "1")
     assert code == 0
-    code, without = _run_all(
-        tmp_path, "without.txt", "--jobs", "1", "--no-cache", "--no-artifacts"
-    )
+    code, without = _run_all(tmp_path, "without.txt", "--jobs", "1", "--no-cache")
     assert code == 0
     capsys.readouterr()
     assert with_store.read_bytes() == without.read_bytes()
@@ -277,15 +275,18 @@ def test_timings_flag_prints_stage_and_campaign_counters(tmp_path, capsys):
     assert "0 fallback simulations" in err
 
 
-def test_cache_stats_reports_artifacts(tmp_path, capsys):
+def test_cache_info_reports_artifacts(tmp_path, capsys):
     code, _ = _run_all(tmp_path, "report.txt", "--jobs", "1")
     assert code == 0
     capsys.readouterr()
-    assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cache")]) == 0
+    assert main(["cache", "info", "--cache-dir", str(tmp_path / "cache")]) == 0
     out = capsys.readouterr().out
     assert "artifact dir:" in out
     assert "artifacts:    3 (3 current code version)" in out
     assert "artifact size:" in out and "0 bytes" not in out.split("artifact size:")[1]
+
+    assert main(["cache", "clear", "--cache-dir", str(tmp_path / "cache")]) == 0
+    assert "and 3 artifact(s)" in capsys.readouterr().out  # clear empties both
 
 
 def test_cache_gc_prunes_stale_code_versions(tmp_path, capsys):
@@ -294,14 +295,20 @@ def test_cache_gc_prunes_stale_code_versions(tmp_path, capsys):
     stale = tmp_path / "cache" / "artifacts" / "0123456789abcdef"
     stale.mkdir()
     (stale / "feedface-s1.pkl").write_bytes(b"old")
+    stale_results = tmp_path / "cache" / "results" / "0123456789abcdef"
+    stale_results.mkdir()
+    (stale_results / "feedface.pkl").write_bytes(b"old")
     capsys.readouterr()
 
     assert main(["cache", "gc", "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert "pruned 1 stale artifact(s)" in capsys.readouterr().out
-    assert not stale.exists()
+    out = capsys.readouterr().out
+    assert "pruned 1 stale artifact(s)" in out and "1 stale result(s)" in out
+    assert not stale.exists() and not stale_results.exists()
 
-    assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert "artifacts:    3 (3 current code version)" in capsys.readouterr().out
+    assert main(["cache", "info", "--cache-dir", str(tmp_path / "cache")]) == 0
+    out = capsys.readouterr().out
+    assert "entries:      3 (3 current code version)" in out
+    assert "artifacts:    3 (3 current code version)" in out
 
 
 def test_run_command_accepts_timings_flag(tmp_path, capsys):
@@ -355,13 +362,13 @@ def test_stats_without_any_sidecar_fails_cleanly(tmp_path, capsys):
     assert "no telemetry sidecar" in capsys.readouterr().err
 
 
-def test_cache_stats_surfaces_last_run_hit_rate(tmp_path, capsys):
+def test_cache_info_surfaces_last_run_hit_rate(tmp_path, capsys):
     code, _ = _run_all(tmp_path, "first.txt", "--jobs", "1")
     assert code == 0
     code, _ = _run_all(tmp_path, "second.txt", "--jobs", "1")
     assert code == 0
     capsys.readouterr()
-    assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cache"),
+    assert main(["cache", "info", "--cache-dir", str(tmp_path / "cache"),
                  "--runs-dir", str(tmp_path / "runs")]) == 0
     out = capsys.readouterr().out
     # The second run served everything from the result cache, so the
