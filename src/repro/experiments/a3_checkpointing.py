@@ -69,6 +69,7 @@ def _run_campaign(
         remaining = work
         while remaining > 1.0:
             job = Job(
+                job_id=sim.next_id("job"),
                 user="u",
                 account="acct",
                 cores=cores,

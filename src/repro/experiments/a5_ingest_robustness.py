@@ -123,8 +123,8 @@ def _tv_distance(truth: dict[str, float], measured: dict[str, float]) -> float:
 
 
 def _run_cell(regime: str | None, recovery: str, days: float, seed: int) -> dict:
-    faults = None if regime is None else FAULT_REGIMES[regime]
-    policy = RECOVERY_POLICIES[recovery] if regime is not None else None
+    # The clean cell runs the disabled regime: the lossless exchange.
+    faults = PacketFaultRegime() if regime is None else FAULT_REGIMES[regime]
     result = run_scenario(
         ScenarioConfig(
             scale="small",
@@ -132,7 +132,7 @@ def _run_cell(regime: str | None, recovery: str, days: float, seed: int) -> dict
             seed=seed,
             population=PopulationSpec(scale=0.05),
             packet_faults=faults,
-            ingest_recovery=policy,
+            ingest_recovery=RECOVERY_POLICIES[recovery],
         )
     )
 

@@ -23,7 +23,7 @@ from repro.sim import RandomStreams, Simulator
 __all__ = ["run"]
 
 
-def _hero_arrivals(rng, cluster, days, per_week=2):
+def _hero_arrivals(sim, rng, cluster, days, per_week=2):
     jobs = []
     horizon = days * DAY
     t = 0.0
@@ -37,6 +37,7 @@ def _hero_arrivals(rng, cluster, days, per_week=2):
             (
                 t,
                 Job(
+                    job_id=sim.next_id("job"),
                     user="hero",
                     account="acct",
                     cores=cluster.total_cores,
@@ -60,6 +61,7 @@ def _run(policy_factory, days, seed, load, per_week):
     # Conservative walltime over-requests and longer jobs make opportunistic
     # drains expensive, the regime the weekly policy was designed for.
     background = single_site_workload(
+        sim,
         streams.stream("f4-background"),
         cluster,
         days,
@@ -68,7 +70,7 @@ def _run(policy_factory, days, seed, load, per_week):
         runtime_median=4 * HOUR,
     )
     heroes = _hero_arrivals(
-        streams.stream("f4-heroes"), cluster, days, per_week=per_week
+        sim, streams.stream("f4-heroes"), cluster, days, per_week=per_week
     )
     arrivals = sorted(background + heroes, key=lambda pair: pair[0])
     sim.process(_feeder(sim, scheduler, arrivals), name="feeder")

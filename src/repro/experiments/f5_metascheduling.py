@@ -70,6 +70,7 @@ def _measure(strategy, publish_interval, days, seed, load):
             cores = log2_cores(rng, 1, 128, 3.0, 1.2)
             runtime = bounded_lognormal(rng, 90 * MINUTE, 1.0, 5 * MINUTE, 12 * HOUR)
             job = Job(
+                job_id=sim.next_id("job"),
                 user="u",
                 account="acct",
                 cores=cores,

@@ -217,6 +217,7 @@ class ScienceGateway:
         if extra_attributes:
             attributes.update(extra_attributes)
         job = Job(
+            job_id=site.sim.next_id("job"),
             user=self.community_user,
             account=self.community_account,
             cores=cores,

@@ -14,8 +14,7 @@ they matter to this paper for two reasons:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.infra.job import Job, JobState
@@ -25,8 +24,6 @@ from repro.sim.resources import Resource
 
 __all__ = ["PilotTask", "Pilot", "PilotManager"]
 
-_task_ids = itertools.count(1)
-
 
 @dataclass
 class PilotTask:
@@ -34,7 +31,6 @@ class PilotTask:
 
     cores: int
     runtime: float
-    task_id: int = field(default_factory=lambda: next(_task_ids))
     submitted_at: Optional[float] = None
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -92,7 +88,7 @@ class Pilot:
         task.submitted_at = self.sim.now
         self.tasks.append(task)
         if self._active:
-            self.sim.process(self._run_task(task), name=f"pilot-task-{task.task_id}")
+            self._start_task(task)
         return task
 
     # -- lifecycle driven by PilotManager ----------------------------------
@@ -101,15 +97,19 @@ class Pilot:
         self._pool = Resource(self.sim, capacity=self.cores)
         for task in self.tasks:
             if not task.done and task.started_at is None:
-                self.sim.process(
-                    self._run_task(task), name=f"pilot-task-{task.task_id}"
-                )
+                self._start_task(task)
 
     def _deactivate(self) -> None:
         self._active = False
         for task in self.tasks:
             if not task.done:
                 self.lost.append(task)
+
+    def _start_task(self, task: PilotTask) -> None:
+        self.sim.process(
+            self._run_task(task),
+            name=f"pilot-task-{self.sim.next_id('pilot-task')}",
+        )
 
     def _run_task(self, task: PilotTask):
         assert self._pool is not None
@@ -156,6 +156,7 @@ class PilotManager:
         up, and its unfinished tasks move to the successor.
         """
         job = Job(
+            job_id=self.sim.next_id("job"),
             user=user,
             account=account,
             cores=cores,

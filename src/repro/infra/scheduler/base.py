@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.infra.cluster import Cluster
@@ -13,8 +13,6 @@ from repro.sim import Interrupt, Simulator
 from repro.sim.process import Process
 
 __all__ = ["BatchScheduler", "Reservation", "RunningJob"]
-
-_reservation_ids = itertools.count(1)
 
 
 @dataclass
@@ -31,7 +29,6 @@ class Reservation:
     nodes: int
     access: Optional[Callable[[Job], bool]] = None
     label: str = ""
-    reservation_id: int = field(default_factory=lambda: next(_reservation_ids))
 
     def admits(self, job: Job) -> bool:
         return self.access is not None and self.access(job)
@@ -196,7 +193,7 @@ class BatchScheduler:
 
         self.sim.process(
             edge_watcher(self.sim, reservation),
-            name=f"reservation-{reservation.reservation_id}",
+            name=f"reservation-{self.sim.next_id('reservation')}",
         )
         self._schedule_pass()
         return reservation

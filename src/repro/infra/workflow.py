@@ -11,7 +11,6 @@ system see workflows as workflows rather than as unrelated jobs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,8 +22,6 @@ from repro.infra.network import Network
 from repro.sim import AllOf, Simulator
 
 __all__ = ["TaskGraph", "TaskSpec", "WorkflowEngine", "WorkflowResult"]
-
-_workflow_ids = itertools.count(1)
 
 
 @dataclass
@@ -193,7 +190,7 @@ class WorkflowEngine:
         )
 
     def _execute(self, graph, user, account, true_modality, extra_attributes):
-        workflow_id = next(_workflow_ids)
+        workflow_id = self.sim.next_id("workflow")
         started_at = self.sim.now
         finished: dict[str, Job] = {}
         jobs: list[Job] = []
@@ -208,6 +205,7 @@ class WorkflowEngine:
             if extra_attributes:
                 attributes.update(extra_attributes)
             job = Job(
+                job_id=self.sim.next_id("job"),
                 user=user,
                 account=account,
                 cores=spec.cores,

@@ -41,9 +41,9 @@ def process_type(name: str) -> str:
 
     Process names follow ``<type>:<instance>`` (``outage:SiteA``,
     ``amie-feed:SiteB``) or ``<type>-<serial>`` (``job-523``).  The serial
-    suffix must go: job ids come from a process-global counter, so keying
-    sim-domain aggregates on them would break seed-stability whenever two
-    campaigns run in one process.
+    suffix must go: ids are per run, so ``job-1`` recurs in every run one
+    tracer observes, and sim-domain aggregates are keyed by process type,
+    not by instance.
     """
     return _NUMERIC_SUFFIX.sub("", name.split(":", 1)[0])
 

@@ -35,6 +35,7 @@ never produces that combination.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,7 +54,7 @@ from repro.users.behavior import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.users.population import PopulationSpec
 from repro.users.profiles import DEFAULT_PROFILES, BehaviorProfile
 from repro.workloads.scenarios import SiteSpec, federation_specs
-from repro.workloads.synthetic import ScenarioConfig
+from repro.workloads.synthetic import ScenarioConfig, _is_integral
 
 __all__ = [
     "FederationDef",
@@ -340,8 +341,10 @@ class ScenarioProgram:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("program needs a name")
-        if self.days <= 0:
-            raise ValueError(f"days must be positive, got {self.days}")
+        if not (self.days > 0 and math.isfinite(self.days)):
+            raise ValueError(f"days must be positive and finite, got {self.days}")
+        if not _is_integral(self.seed):
+            raise ValueError(f"seed must be integral, got {self.seed!r}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; "
@@ -378,10 +381,13 @@ class ScenarioProgram:
         recovery = self.recovery
         if recovery is None and self.outages is not None:
             recovery = RecoverySuite()
+        # No ingest section is the lossless exchange: IngestFaults() lowers
+        # to the disabled regime and the default recovery policy.
+        ingest = self.ingest if self.ingest is not None else IngestFaults()
         return ScenarioConfig(
             scale=self.federation.preset or "small",
             days=float(days if days is not None else self.days),
-            seed=int(seed if seed is not None else self.seed),
+            seed=seed if seed is not None else self.seed,
             population=self.population(),
             gateway_tagging_coverage=self.gateways.tagging_coverage,
             scheduler_factory=SCHEDULERS[self.scheduler],
@@ -399,6 +405,6 @@ class ScenarioProgram:
             ),
             recovery=None if recovery is None else recovery.policies(),
             gateway_backlog=self.gateways.backlog,
-            packet_faults=None if self.ingest is None else self.ingest.regime(),
-            ingest_recovery=None if self.ingest is None else self.ingest.policy(),
+            packet_faults=ingest.regime(),
+            ingest_recovery=ingest.policy(),
         )

@@ -151,7 +151,7 @@ def program_from_dict(data: dict) -> ScenarioProgram:
     if "days" in data:
         kwargs["days"] = float(data["days"])
     if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
+        kwargs["seed"] = data["seed"]
     if "federation" in data:
         kwargs["federation"] = _federation(data["federation"])
     if "mix" in data:

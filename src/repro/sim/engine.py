@@ -93,6 +93,8 @@ class Simulator:
         self._wheel_enabled = bool(wheel)
         self._wheel: dict[int, list[tuple[float, int, int, Event]]] = {}
         self._wheel_count = 0
+        # Per-run id source: the last id minted of each kind.
+        self._last_ids: dict[str, int] = {}
 
     # -- introspection -------------------------------------------------------
     @property
@@ -116,6 +118,17 @@ class Simulator:
         if not self._heap:
             raise SimulationError("peek() on an empty event heap")
         return self._heap[0][0]
+
+    def next_id(self, kind: str) -> int:
+        """Mint the next id of ``kind`` (``"job"``, ``"workflow"``, ...).
+
+        Each kind counts from 1 in the order its ids are minted, so a run's
+        ids depend only on the run, never on what the process simulated
+        before it.
+        """
+        last = self._last_ids.get(kind, 0) + 1
+        self._last_ids[kind] = last
+        return last
 
     def __len__(self) -> int:
         # Logical pending-event count: heap entries minus one marker per

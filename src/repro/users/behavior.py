@@ -8,7 +8,6 @@ users or modalities never perturbs existing ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -37,7 +36,12 @@ __all__ = [
     "start_behaviors",
 ]
 
-_ensemble_ids = itertools.count(1)
+#: fraction of CLI submissions that go through GRAM middleware
+GRAM_FRACTION = 0.15
+#: fraction of batch sessions sent somewhere other than the home site
+ROAMING_FRACTION = 0.15
+#: fraction of a batch user's sessions that are porting/testing work
+BATCH_PORTING_SESSION_PROB = 0.12
 
 
 @dataclass(frozen=True)
@@ -118,15 +122,9 @@ class SimulationContext:
     coallocator: CoAllocator
     login: LoginSubmitter = dataclass_field(default_factory=LoginSubmitter)
     gram: GramSubmitter = dataclass_field(default_factory=GramSubmitter)
-    #: fraction of CLI submissions that go through GRAM middleware
-    gram_fraction: float = 0.15
-    #: fraction of batch sessions sent somewhere other than the home site
-    roaming_fraction: float = 0.15
     #: gateway end users become active uniformly over this many seconds
     #: (0 = everyone active from the start); models gateway adoption growth
     gateway_adoption_ramp: float = 0.0
-    #: fraction of a batch user's sessions that are porting/testing work
-    batch_porting_session_prob: float = 0.12
     #: WAN used for input staging (None disables data movement modeling)
     network: Optional["object"] = None
     #: per-modality reaction to infrastructure failure; None = legacy
@@ -154,6 +152,7 @@ class SimulationContext:
 
 
 def sample_job(
+    sim: Simulator,
     rng: np.random.Generator,
     profile: BehaviorProfile,
     user: User,
@@ -161,7 +160,10 @@ def sample_job(
     attributes: Optional[dict] = None,
     priority: float = 0.0,
 ) -> Job:
-    """Draw one job from a profile (cores, runtime, walltime, failure)."""
+    """Draw one job from a profile (cores, runtime, walltime, failure).
+
+    The job's id is minted from ``sim``, the run it belongs to.
+    """
     cores_cap = profile.max_cores
     if max_cores_cap is not None:
         cores_cap = min(cores_cap, max_cores_cap)
@@ -189,6 +191,7 @@ def sample_job(
     else:
         walltime = runtime * profile.walltime_pad
     return Job(
+        job_id=sim.next_id("job"),
         user=user.user_id,
         account=user.account,
         cores=cores,
@@ -208,7 +211,7 @@ def _think(ctx: SimulationContext, rng: np.random.Generator, mean: float):
 
 def _submit_cli(ctx: SimulationContext, rng, site: ResourceProvider, job: Job):
     """Submit via login node or (sometimes) GRAM middleware."""
-    if rng.random() < ctx.gram_fraction:
+    if rng.random() < GRAM_FRACTION:
         ctx.gram.submit(site, job)
     else:
         ctx.login.submit(site, job)
@@ -217,7 +220,7 @@ def _submit_cli(ctx: SimulationContext, rng, site: ResourceProvider, job: Job):
 def _session_site(ctx: SimulationContext, rng, user: User) -> ResourceProvider:
     """The user's home site, or occasionally somewhere else entirely."""
     home = ctx.provider(user.home_site)
-    if len(ctx.providers) > 1 and rng.random() < ctx.roaming_fraction:
+    if len(ctx.providers) > 1 and rng.random() < ROAMING_FRACTION:
         others = [p for p in ctx.providers if p.name != user.home_site]
         return others[int(rng.integers(len(others)))]
     return home
@@ -259,7 +262,9 @@ def _recovery_rng(ctx: SimulationContext, user: User):
     return ctx.streams.stream(f"recovery:{user.user_id}")
 
 
-def _clone_for_resubmit(job: Job, remaining: float, overhead: float) -> Job:
+def _clone_for_resubmit(
+    sim: Simulator, job: Job, remaining: float, overhead: float
+) -> Job:
     """The job a user resubmits after an infrastructure loss.
 
     ``remaining`` is the work still to do (checkpoint-adjusted); the restart
@@ -268,6 +273,7 @@ def _clone_for_resubmit(job: Job, remaining: float, overhead: float) -> Job:
     """
     runtime = max(remaining + overhead, 10.0)
     return Job(
+        job_id=sim.next_id("job"),
         user=job.user,
         account=job.account,
         cores=job.cores,
@@ -329,7 +335,7 @@ def _recover_job(
         ctx.count(ctx.resubmissions, modality)
         yield ctx.sim.timeout(policy.backoff(attempts))
         current = _clone_for_resubmit(
-            current, remaining, policy.restart_overhead
+            ctx.sim, current, remaining, policy.restart_overhead
         )
 
 
@@ -430,9 +436,10 @@ def batch_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         stage = _stage_inputs(ctx, rng, user, site, Modality.BATCH)
         if stage is not None:
             yield stage
-        if rng.random() < ctx.batch_porting_session_prob:
+        if rng.random() < BATCH_PORTING_SESSION_PROB:
             for _ in range(int(rng.integers(1, 5))):
                 job = sample_job(
+                    ctx.sim,
                     rng,
                     porting_profile,
                     user,
@@ -448,7 +455,7 @@ def batch_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         waits = []
         for _ in range(n_jobs):
             job = sample_job(
-                rng, profile, user, max_cores_cap=site.cluster.total_cores
+                ctx.sim, rng, profile, user, max_cores_cap=site.cluster.total_cores
             )
             waits.append(
                 _submit_and_wait(ctx, rng, user, site, job, profile.modality)
@@ -465,7 +472,7 @@ def exploratory_user(ctx: SimulationContext, user: User, profile: BehaviorProfil
         lo, hi = profile.jobs_per_session
         for _ in range(int(rng.integers(lo, hi + 1))):
             job = sample_job(
-                rng, profile, user, max_cores_cap=site.cluster.total_cores
+                ctx.sim, rng, profile, user, max_cores_cap=site.cluster.total_cores
             )
             yield _submit_and_wait(ctx, rng, user, site, job, profile.modality)
             # look at the output, tweak, resubmit
@@ -488,7 +495,7 @@ def gateway_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         policy = ctx.recovery_policy(profile.modality)
         for _ in range(int(rng.integers(lo, hi + 1))):
             spec = sample_job(
-                rng, profile, user, max_cores_cap=site.cluster.total_cores
+                ctx.sim, rng, profile, user, max_cores_cap=site.cluster.total_cores
             )
             if policy is not None:
                 waits.append(
@@ -520,7 +527,7 @@ def ensemble_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
     while True:
         yield _think(ctx, rng, profile.think_time_mean)
         width = int(rng.integers(profile.sweep_width[0], profile.sweep_width[1] + 1))
-        template = sample_job(rng, profile, user)
+        template = sample_job(ctx.sim, rng, profile, user)
         if rng.random() < profile.workflow_prob:
             graph = TaskGraph.parameter_sweep(
                 f"{user.user_id}-sweep",
@@ -539,10 +546,11 @@ def ensemble_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
             yield proc
         else:
             site = _session_site(ctx, rng, user)
-            ensemble_id = f"ens-{next(_ensemble_ids)}"
+            ensemble_id = f"ens-{ctx.sim.next_id('ensemble')}"
             waits = []
             for _ in range(width):
                 job = sample_job(
+                    ctx.sim,
                     rng,
                     profile,
                     user,
@@ -568,6 +576,7 @@ def viz_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         yield _think(ctx, rng, profile.think_time_mean)
         site = ctx.provider(user.home_site)
         job = sample_job(
+            ctx.sim,
             rng,
             profile,
             user,
@@ -617,7 +626,7 @@ def coupled_user(ctx: SimulationContext, user: User, profile: BehaviorProfile):
         stages = [s for s in stages if s is not None]
         if stages:
             yield AllOf(ctx.sim, stages)
-        template = sample_job(rng, profile, user)
+        template = sample_job(ctx.sim, rng, profile, user)
         policy = ctx.recovery_policy(profile.modality)
         if policy is None:
             parts = [

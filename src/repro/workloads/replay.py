@@ -32,7 +32,8 @@ def arrivals_from_records(
 
     ``max_cores`` clips jobs to a smaller replay machine (a standard trick
     when replaying a big machine's trace on a scaled-down model); jobs are
-    clipped, not dropped, to preserve the arrival process.
+    clipped, not dropped, to preserve the arrival process.  The rebuilt
+    jobs are numbered 1..n in arrival order, the ids of the replay run.
     """
     arrivals: list[tuple[float, Job]] = []
     for record in sorted(records, key=lambda r: (r.submit_time, r.job_id)):
@@ -45,6 +46,7 @@ def arrivals_from_records(
             (
                 record.submit_time,
                 Job(
+                    job_id=len(arrivals) + 1,
                     user=record.user,
                     account=record.account,
                     cores=cores,

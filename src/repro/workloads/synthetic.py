@@ -22,10 +22,9 @@ Two campaign-sharing companions live here as well:
 
 from __future__ import annotations
 
-import itertools
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Type
+from typing import Callable, Optional, Type
 
 import repro.infra as infra
 from repro.core.modalities import Modality
@@ -64,7 +63,6 @@ __all__ = [
     "ScenarioResult",
     "TransferSummary",
     "run_scenario",
-    "scoped_id_counters",
 ]
 
 #: The canonical campaign most table experiments share (DESIGN.md §4).
@@ -72,6 +70,17 @@ CAMPAIGN_DAYS = 90.0
 CAMPAIGN_SEED = 1
 CAMPAIGN_SCALE = "small"
 CAMPAIGN_POPULATION_SCALE = 0.05
+
+#: How often the information service republishes site status.
+INFO_PUBLISH_INTERVAL = 15 * MINUTE
+
+
+def _is_integral(value) -> bool:
+    """Whether ``value`` is a whole number (``3`` or ``3.0``; not ``1.5``)."""
+    try:
+        return value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,6 @@ class ScenarioConfig:
     )
     metascheduler_strategy: SelectionStrategy = SelectionStrategy.PREDICTED_START
     amie_interval: float = 6 * HOUR
-    info_publish_interval: float = 15 * 60.0
     profiles: Optional[dict[Modality, BehaviorProfile]] = None
     sites: Optional[tuple[SiteSpec, ...]] = None
     #: gateway end users activate uniformly over this many days (0 = at once)
@@ -101,19 +109,22 @@ class ScenarioConfig:
     recovery: Optional[dict[Modality, RecoveryPolicy]] = None
     #: gateway requests held through a backend outage (0 = shed them all)
     gateway_backlog: int = 0
-    #: fault climate of the site→center AMIE exchange (None/disabled = the
-    #: historical lossless in-process call, byte-identical to legacy runs)
-    packet_faults: Optional[PacketFaultRegime] = None
-    #: recovery discipline against ``packet_faults`` (None = full defaults:
-    #: retransmit with backoff + end-of-run reconciliation re-sends)
-    ingest_recovery: Optional[IngestRecoveryPolicy] = None
+    #: fault climate of the site→center AMIE exchange (the default, disabled
+    #: regime is the lossless in-process call)
+    packet_faults: PacketFaultRegime = PacketFaultRegime()
+    #: recovery discipline against ``packet_faults`` (the default retransmits
+    #: with backoff and re-sends on end-of-run reconciliation)
+    ingest_recovery: IngestRecoveryPolicy = IngestRecoveryPolicy()
 
     def __post_init__(self) -> None:
         # Fail at construction with a nameable knob, not downstream with a
         # zero-length run, a silent no-tagging campaign, or a ValueError
         # deep inside the gateway layer.
-        if not self.days > 0:
-            raise ValueError(f"days must be positive, got {self.days}")
+        if not (self.days > 0 and math.isfinite(self.days)):
+            raise ValueError(f"days must be positive and finite, got {self.days}")
+        if not _is_integral(self.seed):
+            # A truncated seed would silently run another seed's campaign.
+            raise ValueError(f"seed must be integral, got {self.seed!r}")
         if not (0.0 <= self.gateway_tagging_coverage <= 1.0):
             raise ValueError(
                 "gateway_tagging_coverage must be in [0, 1], "
@@ -132,26 +143,17 @@ class ScenarioConfig:
             raise ValueError(
                 f"amie_interval must be positive, got {self.amie_interval}"
             )
-        if self.info_publish_interval <= 0:
-            raise ValueError(
-                "info_publish_interval must be positive, "
-                f"got {self.info_publish_interval}"
-            )
         if self.outage_propagation_lag < 0:
             raise ValueError(
                 "outage_propagation_lag must be >= 0, "
                 f"got {self.outage_propagation_lag}"
             )
-        if self.packet_faults is not None and not isinstance(
-            self.packet_faults, PacketFaultRegime
-        ):
+        if not isinstance(self.packet_faults, PacketFaultRegime):
             raise ValueError(
                 f"packet_faults must be a PacketFaultRegime, "
                 f"got {self.packet_faults!r}"
             )
-        if self.ingest_recovery is not None and not isinstance(
-            self.ingest_recovery, IngestRecoveryPolicy
-        ):
+        if not isinstance(self.ingest_recovery, IngestRecoveryPolicy):
             raise ValueError(
                 f"ingest_recovery must be an IngestRecoveryPolicy, "
                 f"got {self.ingest_recovery!r}"
@@ -164,7 +166,7 @@ class ScenarioConfig:
     @property
     def faulty_ingest(self) -> bool:
         """Whether the AMIE exchange runs over the faulty transport."""
-        return self.packet_faults is not None and self.packet_faults.enabled
+        return self.packet_faults.enabled
 
 
 @dataclass
@@ -239,58 +241,19 @@ class ScenarioResult:
         }
 
 
-#: ``(module path, attribute)`` of every module-global id counter.
-_ID_COUNTERS = (
-    ("repro.infra.job", "_job_ids"),
-    ("repro.infra.workflow", "_workflow_ids"),
-    ("repro.infra.coalloc", "_coalloc_ids"),
-    ("repro.infra.network", "_transfer_ids"),
-    ("repro.infra.pilot", "_task_ids"),
-    ("repro.infra.scheduler.base", "_reservation_ids"),
-    ("repro.users.behavior", "_ensemble_ids"),
-)
-
-
-@contextmanager
-def scoped_id_counters() -> Iterator[None]:
-    """Run a block with fresh 1-based id counters, restoring the originals.
-
-    Job, workflow, ensemble, co-allocation, transfer, pilot-task and
-    reservation ids are minted from module-global ``itertools.count(1)``
-    counters, so without this scope a campaign's ids would depend on
-    everything the process simulated before it.
-    """
-    import importlib
-
-    saved = []
-    for module_path, attribute in _ID_COUNTERS:
-        module = importlib.import_module(module_path)
-        saved.append((module, attribute, getattr(module, attribute)))
-        setattr(module, attribute, itertools.count(1))
-    try:
-        yield
-    finally:
-        for module, attribute, counter in saved:
-            setattr(module, attribute, counter)
-
-
 def run_scenario(config: ScenarioConfig | None = None, **overrides) -> ScenarioResult:
     """Build and run one campaign; see :class:`ScenarioConfig` for knobs.
 
     Keyword overrides are applied on top of ``config`` (or the defaults), so
-    ``run_scenario(days=90, seed=3)`` works without building a config.  Ids
-    are minted under :func:`scoped_id_counters`, so the records are a pure
-    function of the config whatever the process ran before.
+    ``run_scenario(days=90, seed=3)`` works without building a config.  Every
+    id is minted from the run's own :class:`~repro.sim.Simulator`, so the
+    records are a pure function of the config whatever the process ran
+    before.
     """
     if config is None:
         config = ScenarioConfig()
     if overrides:
         config = replace(config, **overrides)
-    with scoped_id_counters():
-        return _simulate(config)
-
-
-def _simulate(config: ScenarioConfig) -> ScenarioResult:
     sim = Simulator()
     streams = RandomStreams(seed=config.seed)
     ledger = infra.AllocationLedger()
@@ -305,29 +268,21 @@ def _simulate(config: ScenarioConfig) -> ScenarioResult:
     # equivalent-looking one: the resilient feed schedules extra simulator
     # events, and byte-identity with historical runs demands zero of them.
     endpoint = None
-    recovery = None
     if config.faulty_ingest:
         endpoint = AmieIngestEndpoint(central, metrics=metrics)
-        recovery = (
-            config.ingest_recovery
-            if config.ingest_recovery is not None
-            else IngestRecoveryPolicy()
-        )
 
     specs = config.sites if config.sites is not None else federation_specs(config.scale)
     providers = []
     for spec in specs:
         feed_factory = None
         if endpoint is not None:
-            def feed_factory(
-                feed_sim, _name=spec.name, _endpoint=endpoint, _recovery=recovery
-            ):
+            def feed_factory(feed_sim, _name=spec.name, _endpoint=endpoint):
                 return ResilientAmieFeed(
                     feed_sim,
                     _endpoint,
                     feed_id=_name,
                     regime=config.packet_faults,
-                    policy=_recovery,
+                    policy=config.ingest_recovery,
                     rng=streams.stream(f"amie:{_name}"),
                     interval=config.amie_interval,
                     metrics=metrics,
@@ -345,7 +300,7 @@ def _simulate(config: ScenarioConfig) -> ScenarioResult:
         network.add_site(spec.name, spec.wan_bandwidth)
 
     info = infra.InformationService(
-        sim, providers, publish_interval=config.info_publish_interval
+        sim, providers, publish_interval=INFO_PUBLISH_INTERVAL
     )
     meta = infra.Metascheduler(
         providers,
@@ -409,7 +364,7 @@ def _simulate(config: ScenarioConfig) -> ScenarioResult:
     if endpoint is not None:
         reconciliation = endpoint.reconcile(
             [provider.feed for provider in providers],
-            resend=recovery.reconcile,
+            resend=config.ingest_recovery.reconcile,
         )
 
     return ScenarioResult(
@@ -460,7 +415,7 @@ class CampaignKey:
         gateway_tagging_coverage: float = 1.0,
         gateway_adoption_ramp_days: float = 0.0,
     ) -> "CampaignKey":
-        if seed != int(seed):
+        if not _is_integral(seed):
             # int() would truncate 1.5 onto seed 1's campaign.
             raise ValueError(f"campaign seed must be integral, got {seed!r}")
         return cls(

@@ -1,5 +1,7 @@
 """Tests for usage records, the central DB and the AMIE feed."""
 
+import itertools
+
 import pytest
 
 from repro.infra.accounting import AmieFeed, CentralAccountingDB, UsageRecord
@@ -7,9 +9,13 @@ from repro.infra.job import Job, JobState
 from repro.infra.units import HOUR
 from repro.sim import Simulator
 
+#: Hand-built jobs are not minted by a run; number them here.
+_ids = itertools.count(1)
+
 
 def terminal_job(**kwargs):
     defaults = dict(
+        job_id=next(_ids),
         user="alice", account="acct", cores=4, walltime=3600.0, true_runtime=1800.0
     )
     defaults.update(kwargs)

@@ -47,6 +47,7 @@ def test_head_never_starts_after_its_first_shadow(specs, sticky):
 
     for cores, walltime, fraction, offset in specs:
         job = Job(
+            job_id=sim.next_id("job"),
             user="u",
             account="acct",
             cores=cores,
@@ -86,6 +87,7 @@ def test_sticky_head_never_starts_before_its_lock(specs):
     jobs = []
     for i, (cores, walltime) in enumerate(specs):
         job = Job(
+            job_id=sim.next_id("job"),
             user="u",
             account="acct",
             cores=cores,

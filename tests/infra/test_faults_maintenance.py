@@ -35,8 +35,9 @@ def make_site(nodes=8, cores_per_node=4):
     return sim, site, central, ledger
 
 
-def job(cores=4, walltime=10 * HOUR, runtime=None):
-    return Job(user="u", account="acct", cores=cores, walltime=walltime,
+def job(sim, cores=4, walltime=10 * HOUR, runtime=None):
+    return Job(job_id=sim.next_id("job"),
+               user="u", account="acct", cores=cores, walltime=walltime,
                true_runtime=walltime if runtime is None else runtime)
 
 
@@ -52,7 +53,7 @@ def run_flaky_maintained_site(seed):
         node_mtbf=30 * HOUR,  # flaky enough that kills land inside drains
         tick=0.25 * HOUR,
     )
-    jobs = [job(cores=4, walltime=9 * HOUR) for _ in range(24)]
+    jobs = [job(sim, cores=4, walltime=9 * HOUR) for _ in range(24)]
 
     def trickle(sim):
         for j in jobs:
@@ -116,7 +117,7 @@ def test_multiple_kills_in_one_tick():
         node_mtbf=2 * HOUR,  # expected strikes per tick ~ 4
         tick=1 * HOUR,
     )
-    jobs = [job(cores=4, walltime=20 * HOUR) for _ in range(8)]
+    jobs = [job(sim, cores=4, walltime=20 * HOUR) for _ in range(8)]
     for j in jobs:
         site.submit(j)
     sim.run(until=1.5 * HOUR)  # exactly one injector tick has elapsed
@@ -148,7 +149,7 @@ def test_no_strikes_on_nodes_inside_active_maintenance_window():
         node_mtbf=0.1 * HOUR,  # ~10 expected strikes per node-hour
         tick=0.25 * HOUR,
     )
-    victim = job(cores=8, walltime=30 * HOUR)  # 2 of 8 nodes busy
+    victim = job(sim, cores=8, walltime=30 * HOUR)  # 2 of 8 nodes busy
     site.submit(victim)
     sim.run(until=0.1 * HOUR)  # job is running before the window opens
     from repro.infra.scheduler.base import Reservation

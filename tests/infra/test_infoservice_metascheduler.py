@@ -27,15 +27,16 @@ def make_federation(n_sites=3, nodes=4):
     return sim, providers
 
 
-def job(cores=1, walltime=HOUR):
-    return Job(user="alice", account="acct", cores=cores, walltime=walltime,
+def job(sim, cores=1, walltime=HOUR):
+    return Job(job_id=sim.next_id("job"),
+               user="alice", account="acct", cores=cores, walltime=walltime,
                true_runtime=walltime)
 
 
 def test_info_service_publishes_periodically():
     sim, providers = make_federation()
     info = I.InformationService(sim, providers, publish_interval=5 * MINUTE)
-    providers[0].submit(job(cores=4, walltime=10 * HOUR))
+    providers[0].submit(job(sim, cores=4, walltime=10 * HOUR))
     # Snapshot is stale until the next publication.
     assert info.query("site0")["running_jobs"] == 0
     sim.run(until=6 * MINUTE)
@@ -67,21 +68,21 @@ def test_least_loaded_requires_info_service():
 
 
 def test_round_robin_cycles_sites():
-    _, providers = make_federation(n_sites=3)
+    sim, providers = make_federation(n_sites=3)
     meta = I.Metascheduler(providers, SelectionStrategy.ROUND_ROBIN)
-    picks = [meta.select(job()).name for _ in range(6)]
+    picks = [meta.select(job(sim)).name for _ in range(6)]
     assert picks == ["site0", "site1", "site2", "site0", "site1", "site2"]
 
 
 def test_selection_skips_too_small_sites():
-    _, providers = make_federation(n_sites=2, nodes=4)
+    sim, providers = make_federation(n_sites=2, nodes=4)
     big_site = providers[1]
     # Make site1 bigger so only it fits the large job.
     sim = big_site.sim
     meta = I.Metascheduler(providers, SelectionStrategy.ROUND_ROBIN)
     with pytest.raises(ValueError):
-        meta.select(job(cores=100))
-    small = job(cores=4)
+        meta.select(job(sim, cores=100))
+    small = job(sim, cores=4)
     assert meta.select(small).name in {"site0", "site1"}
 
 
@@ -89,9 +90,9 @@ def test_predicted_start_picks_idle_site():
     sim, providers = make_federation(n_sites=2)
     # Load site0 heavily.
     for _ in range(5):
-        providers[0].submit(job(cores=4, walltime=10 * HOUR))
+        providers[0].submit(job(sim, cores=4, walltime=10 * HOUR))
     meta = I.Metascheduler(providers, SelectionStrategy.PREDICTED_START)
-    assert meta.select(job()).name == "site1"
+    assert meta.select(job(sim)).name == "site1"
 
 
 def test_least_loaded_uses_stale_snapshots():
@@ -105,25 +106,25 @@ def test_least_loaded_uses_stale_snapshots():
     # Queue work on site0 *after* the initial publication: the stale view
     # still says both sites are empty, so ties break by name -> site0.
     for _ in range(5):
-        providers[0].submit(job(cores=4, walltime=10 * HOUR))
-    assert meta.select(job()).name == "site0"
+        providers[0].submit(job(sim, cores=4, walltime=10 * HOUR))
+    assert meta.select(job(sim)).name == "site0"
     sim.run(until=1 * HOUR + 1)
-    assert meta.select(job()).name == "site1"  # fresh view sees the load
+    assert meta.select(job(sim)).name == "site1"  # fresh view sees the load
 
 
 def test_random_strategy_selects_uniformly():
-    _, providers = make_federation(n_sites=2)
+    sim, providers = make_federation(n_sites=2)
     meta = I.Metascheduler(
         providers, SelectionStrategy.RANDOM, rng=np.random.default_rng(7)
     )
-    picks = {meta.select(job()).name for _ in range(50)}
+    picks = {meta.select(job(sim)).name for _ in range(50)}
     assert picks == {"site0", "site1"}
 
 
 def test_submit_forwards_to_chosen_site():
     sim, providers = make_federation(n_sites=2)
     meta = I.Metascheduler(providers, SelectionStrategy.ROUND_ROBIN)
-    j = job()
+    j = job(sim)
     chosen = meta.submit(j)
     assert j.resource == chosen.name
     assert meta.selections[chosen.name] == 1

@@ -4,18 +4,28 @@ import pytest
 
 from repro.infra.cluster import Cluster
 from repro.infra.job import AttributeKeys, Job, JobState
+from repro.workloads import run_scenario
 
 
 def make_job(**kwargs):
     defaults = dict(
-        user="alice", account="acct", cores=4, walltime=3600.0, true_runtime=1800.0
+        job_id=1, user="alice", account="acct", cores=4, walltime=3600.0,
+        true_runtime=1800.0,
     )
     defaults.update(kwargs)
     return Job(**defaults)
 
 
 def test_job_ids_are_unique():
-    assert make_job().job_id != make_job().job_id
+    """Every job a run mints, across all its sites, has its own id."""
+    result = run_scenario(days=1.0, seed=3)
+    ids = [
+        job.job_id
+        for provider in result.providers
+        for job in provider.scheduler.completed
+    ]
+    assert ids
+    assert len(ids) == len(set(ids))
 
 
 def test_job_validation():

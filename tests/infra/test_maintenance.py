@@ -19,8 +19,8 @@ def test_jobs_do_not_cross_maintenance_window():
         first=2 * DAY, lead=3 * DAY,
     )
     # Submitted 1 day before the window with a 2-day walltime: must wait.
-    long_job = Job(user="u", account="a", cores=4, walltime=2 * DAY,
-                   true_runtime=2 * DAY)
+    long_job = Job(job_id=sim.next_id("job"), user="u", account="a", cores=4,
+                   walltime=2 * DAY, true_runtime=2 * DAY)
 
     def submit_later(sim):
         yield sim.timeout(1 * DAY)
@@ -39,8 +39,8 @@ def test_short_job_runs_before_window():
         sim, scheduler, period=WEEK, duration=8 * HOUR,
         first=2 * DAY, lead=3 * DAY,
     )
-    quick = Job(user="u", account="a", cores=4, walltime=HOUR,
-                true_runtime=HOUR)
+    quick = Job(job_id=sim.next_id("job"), user="u", account="a", cores=4,
+                walltime=HOUR, true_runtime=HOUR)
 
     def submit_later(sim):
         yield sim.timeout(1 * DAY)

@@ -33,8 +33,9 @@ def make_federation(n=3, nodes=8):
     return sim, providers, central
 
 
-def job(cores=4, walltime=2 * HOUR):
-    return Job(user="u", account="acct", cores=cores, walltime=walltime,
+def job(sim, cores=4, walltime=2 * HOUR):
+    return Job(job_id=sim.next_id("job"),
+               user="u", account="acct", cores=cores, walltime=walltime,
                true_runtime=walltime / 2)
 
 
@@ -42,7 +43,7 @@ def test_select_excludes_down_provider():
     sim, providers, _ = make_federation()
     meta = I.Metascheduler(providers, I.SelectionStrategy.ROUND_ROBIN)
     providers[1].mark_down()
-    picks = {meta.select(job()).name for _ in range(6)}
+    picks = {meta.select(job(sim)).name for _ in range(6)}
     assert picks == {"site0", "site2"}
 
 
@@ -55,7 +56,7 @@ def test_select_excludes_fully_drained_provider():
                     label="drain")
     )
     assert providers[0].up and providers[0].available_nodes == 0
-    picks = {meta.select(job()).name for _ in range(6)}
+    picks = {meta.select(job(sim)).name for _ in range(6)}
     assert picks <= {"site1", "site2"}
 
 
@@ -64,12 +65,12 @@ def test_no_eligible_site_vs_no_fit_errors():
     meta = I.Metascheduler(providers, I.SelectionStrategy.PREDICTED_START)
     # A job too big for the whole federation keeps the original error...
     with pytest.raises(ValueError, match="fits on no site"):
-        meta.select(job(cores=4096))
+        meta.select(job(sim, cores=4096))
     # ...while a normal job with every site down gets the outage error.
     for provider in providers:
         provider.mark_down()
     with pytest.raises(NoEligibleSiteError):
-        meta.select(job())
+        meta.select(job(sim))
 
 
 def test_least_loaded_survives_drained_site_without_div_by_zero():
@@ -84,7 +85,7 @@ def test_least_loaded_survives_drained_site_without_div_by_zero():
     )
     sim.run(until=6 * MINUTE)  # publish the drained (0 usable nodes) view
     assert info.query("site0")["available_nodes"] == 0
-    choice = meta.select(job())  # must not raise ZeroDivisionError
+    choice = meta.select(job(sim))  # must not raise ZeroDivisionError
     assert choice.name in {"site1", "site2"}
 
 
@@ -106,7 +107,7 @@ def test_submit_fails_over_past_stale_info():
         # Inside the propagation window the dead site still looks up (and
         # empty, so LEAST_LOADED prefers it); submission discovers the truth.
         assert info.believed_up("site0")
-        j = job()
+        j = job(sim)
         accepted = meta.submit(j)
         outcome["provider"] = accepted.name
         outcome["reroutes"] = meta.reroutes
@@ -129,11 +130,11 @@ def test_handle_outage_requeues_pending_and_bridges_events():
         # Fill site0 so a metascheduled job queues behind the blocker, then
         # take site0 down and requeue: the job must land on site1 and the
         # *original* completion event must still release the waiter.
-        blocker = job(cores=8, walltime=20 * HOUR)
+        blocker = job(sim, cores=8, walltime=20 * HOUR)
         providers[0].submit(blocker)
-        slower = job(cores=8, walltime=50 * HOUR)  # site1 looks even worse
+        slower = job(sim, cores=8, walltime=50 * HOUR)  # site1 looks even worse
         providers[1].submit(slower)
-        pending = job(cores=4, walltime=1 * HOUR)
+        pending = job(sim, cores=4, walltime=1 * HOUR)
         chosen = meta.submit(pending)
         assert chosen is providers[0]
         waiter = chosen.scheduler.wait_for(pending)
@@ -158,8 +159,8 @@ def test_handle_outage_leaves_job_queued_when_no_alternative():
     sim, providers, _ = make_federation(n=2, nodes=2)
     meta = I.Metascheduler(providers, I.SelectionStrategy.PREDICTED_START)
     providers[1].mark_down()
-    providers[0].submit(job(cores=8, walltime=20 * HOUR))  # fill site0
-    pending = job()
+    providers[0].submit(job(sim, cores=8, walltime=20 * HOUR))  # fill site0
+    pending = job(sim)
     meta.submit(pending)  # only site0 is eligible; queues behind the blocker
     assert pending.state is JobState.PENDING
     providers[0].mark_down()
@@ -187,7 +188,7 @@ def _failover_trace(seed):
 
     def feeder(sim):
         for i in range(20):
-            j = job()
+            j = job(sim)
             accepted = meta.submit(j)
             trace.append((i, accepted.name))
             yield sim.timeout(11 * MINUTE)

@@ -1,5 +1,7 @@
 """Tests for named queues and routing."""
 
+import itertools
+
 import pytest
 
 import repro.infra as I
@@ -9,6 +11,9 @@ from repro.infra.queues import QueueSet, QueueSpec, default_queues
 from repro.infra.units import DAY, HOUR
 from repro.sim import Simulator
 
+#: Hand-built jobs are not minted by a run; number them here.
+_ids = itertools.count(1)
+
 
 def cluster():
     return Cluster("mach", nodes=32, cores_per_node=8)  # 256 cores
@@ -17,8 +22,9 @@ def cluster():
 def job(cores=8, walltime=HOUR, interactive=False, priority=0.0):
     attributes = {AttributeKeys.INTERACTIVE: True} if interactive else {}
     return Job(
-        user="u", account="acct", cores=cores, walltime=walltime,
-        true_runtime=walltime, attributes=attributes, priority=priority,
+        job_id=next(_ids), user="u", account="acct", cores=cores,
+        walltime=walltime, true_runtime=walltime, attributes=attributes,
+        priority=priority,
     )
 
 

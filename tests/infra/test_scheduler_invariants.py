@@ -37,6 +37,7 @@ def _submit_workload(sim, scheduler, specs, user="u"):
 
     for cores, walltime, fraction, offset in specs:
         job = Job(
+            job_id=sim.next_id("job"),
             user=user,
             account="acct",
             cores=cores,
@@ -173,10 +174,12 @@ def test_ordered_queue_breaks_equal_priority_by_arrival():
     sim = Simulator()
     cluster = Cluster("mach", nodes=1, cores_per_node=1)
     scheduler = FcfsScheduler(sim, cluster)
-    blocker = Job(user="u", account="acct", cores=1, walltime=50.0, true_runtime=50.0)
+    blocker = Job(job_id=sim.next_id("job"), user="u", account="acct", cores=1,
+                  walltime=50.0, true_runtime=50.0)
     scheduler.submit(blocker)  # occupies the machine
     waiting = [
-        Job(user="u", account="acct", cores=1, walltime=10.0, true_runtime=10.0)
+        Job(job_id=sim.next_id("job"), user="u", account="acct", cores=1,
+            walltime=10.0, true_runtime=10.0)
         for _ in range(5)
     ]
     for job in waiting:

@@ -24,8 +24,9 @@ def make_rig(policy, nodes=4, cores_per_node=1, **kwargs):
     return sim, scheduler
 
 
-def job(cores, walltime, runtime=None, user="u", **kwargs):
+def job(sim, cores, walltime, runtime=None, user="u", **kwargs):
     return Job(
+        job_id=sim.next_id("job"),
         user=user,
         account="acct",
         cores=cores,
@@ -49,7 +50,7 @@ def submit_at(sim, scheduler, delay, job_obj):
 
 def test_job_lifecycle_timestamps_and_state():
     sim, sched = make_rig(FcfsScheduler)
-    j = job(2, walltime=100.0, runtime=60.0)
+    j = job(sim, 2, walltime=100.0, runtime=60.0)
     sched.submit(j)
     sim.run()
     assert j.state is JobState.COMPLETED
@@ -58,7 +59,7 @@ def test_job_lifecycle_timestamps_and_state():
 
 def test_walltime_kill():
     sim, sched = make_rig(FcfsScheduler)
-    j = job(1, walltime=50.0, runtime=500.0)
+    j = job(sim, 1, walltime=50.0, runtime=500.0)
     sched.submit(j)
     sim.run()
     assert j.state is JobState.KILLED_WALLTIME
@@ -67,7 +68,7 @@ def test_walltime_kill():
 
 def test_failing_job_ends_early_in_failed_state():
     sim, sched = make_rig(FcfsScheduler)
-    j = job(1, walltime=100.0, runtime=10.0, will_fail=True)
+    j = job(sim, 1, walltime=100.0, runtime=10.0, will_fail=True)
     sched.submit(j)
     sim.run()
     assert j.state is JobState.FAILED
@@ -76,7 +77,7 @@ def test_failing_job_ends_early_in_failed_state():
 
 def test_resubmitting_job_rejected():
     sim, sched = make_rig(FcfsScheduler)
-    j = job(1, walltime=10.0)
+    j = job(sim, 1, walltime=10.0)
     sched.submit(j)
     with pytest.raises(ValueError):
         sched.submit(j)
@@ -85,13 +86,13 @@ def test_resubmitting_job_rejected():
 def test_oversized_job_rejected():
     sim, sched = make_rig(FcfsScheduler, nodes=2, cores_per_node=2)
     with pytest.raises(ValueError):
-        sched.submit(job(5, walltime=10.0))
+        sched.submit(job(sim, 5, walltime=10.0))
 
 
 def test_cancel_pending_job():
     sim, sched = make_rig(FcfsScheduler, nodes=1)
-    blocker = job(1, walltime=100.0)
-    waiting = job(1, walltime=100.0)
+    blocker = job(sim, 1, walltime=100.0)
+    waiting = job(sim, 1, walltime=100.0)
     sched.submit(blocker)
     sched.submit(waiting)
     sched.cancel(waiting)
@@ -103,8 +104,8 @@ def test_cancel_pending_job():
 
 def test_cancel_running_job_frees_nodes():
     sim, sched = make_rig(FcfsScheduler, nodes=1)
-    running = job(1, walltime=1000.0)
-    follower = job(1, walltime=10.0)
+    running = job(sim, 1, walltime=1000.0)
+    follower = job(sim, 1, walltime=10.0)
     sched.submit(running)
     sched.submit(follower)
 
@@ -122,7 +123,7 @@ def test_cancel_running_job_frees_nodes():
 def test_on_job_end_called_once_per_terminal_job():
     ended = []
     sim, sched = make_rig(FcfsScheduler, on_job_end=ended.append)
-    jobs = [job(1, walltime=10.0) for _ in range(6)]
+    jobs = [job(sim, 1, walltime=10.0) for _ in range(6)]
     for j in jobs:
         sched.submit(j)
     sim.run()
@@ -131,7 +132,7 @@ def test_on_job_end_called_once_per_terminal_job():
 
 def test_wait_for_event_fires_on_completion():
     sim, sched = make_rig(FcfsScheduler)
-    j = job(1, walltime=30.0)
+    j = job(sim, 1, walltime=30.0)
     sched.submit(j)
     log = []
 
@@ -147,12 +148,12 @@ def test_wait_for_event_fires_on_completion():
 def test_wait_for_unknown_job_raises():
     sim, sched = make_rig(FcfsScheduler)
     with pytest.raises(KeyError):
-        sched.wait_for(job(1, walltime=10.0))
+        sched.wait_for(job(sim, 1, walltime=10.0))
 
 
 def test_not_before_holds_job():
     sim, sched = make_rig(FcfsScheduler)
-    j = job(1, walltime=10.0, not_before=500.0)
+    j = job(sim, 1, walltime=10.0, not_before=500.0)
     sched.submit(j)
     sim.run()
     assert j.start_time == 500.0
@@ -169,10 +170,10 @@ def build_backfill_scenario(policy):
     j4 is not.
     """
     sim, sched = make_rig(policy, nodes=4)
-    j1 = job(3, walltime=100.0)
-    j2 = job(4, walltime=100.0)
-    j3 = job(1, walltime=50.0)  # can backfill: ends before head's shadow
-    j4 = job(1, walltime=200.0)  # cannot: would delay the head
+    j1 = job(sim, 3, walltime=100.0)
+    j2 = job(sim, 4, walltime=100.0)
+    j3 = job(sim, 1, walltime=50.0)  # can backfill: ends before head's shadow
+    j4 = job(sim, 1, walltime=200.0)  # cannot: would delay the head
     sched.submit(j1)
     submit_at(sim, sched, 1.0, j2)
     submit_at(sim, sched, 2.0, j3)
@@ -200,9 +201,9 @@ def test_easy_backfills_short_job_but_not_delaying_one():
 def test_easy_uses_extra_nodes_for_long_small_jobs():
     # Head needs 3 nodes at shadow time; 1 extra node lets a long small job in.
     sim, sched = make_rig(EasyBackfillScheduler, nodes=4)
-    j1 = job(4, walltime=100.0)
-    head = job(3, walltime=100.0)
-    long_small = job(1, walltime=1000.0)
+    j1 = job(sim, 4, walltime=100.0)
+    head = job(sim, 3, walltime=100.0)
+    long_small = job(sim, 1, walltime=1000.0)
     sched.submit(j1)
     submit_at(sim, sched, 1.0, head)
     submit_at(sim, sched, 2.0, long_small)
@@ -221,9 +222,9 @@ def test_easy_head_not_delayed_by_backfill():
 
 def test_priority_reorders_queue():
     sim, sched = make_rig(EasyBackfillScheduler, nodes=1)
-    blocker = job(1, walltime=100.0)
-    normal = job(1, walltime=10.0)
-    urgent = job(1, walltime=10.0, priority=10.0)
+    blocker = job(sim, 1, walltime=100.0)
+    normal = job(sim, 1, walltime=10.0)
+    urgent = job(sim, 1, walltime=10.0, priority=10.0)
     sched.submit(blocker)
     submit_at(sim, sched, 1.0, normal)
     submit_at(sim, sched, 2.0, urgent)
@@ -240,7 +241,7 @@ def test_reservation_blocks_overlapping_job():
     sched.add_reservation(
         Reservation(start=50.0, end=150.0, nodes=2, access=None, label="drain")
     )
-    j = job(2, walltime=100.0)  # would overlap [0,100) x [50,150)
+    j = job(sim, 2, walltime=100.0)  # would overlap [0,100) x [50,150)
     sched.submit(j)
     sim.run()
     assert j.start_time == 150.0
@@ -249,7 +250,7 @@ def test_reservation_blocks_overlapping_job():
 def test_reservation_admits_matching_job():
     # EASY lets the admitted job jump past a head blocked by the reservation.
     sim, sched = make_rig(EasyBackfillScheduler, nodes=2)
-    special = job(2, walltime=100.0)
+    special = job(sim, 2, walltime=100.0)
     sched.add_reservation(
         Reservation(
             start=0.0,
@@ -258,7 +259,7 @@ def test_reservation_admits_matching_job():
             access=lambda j: j.job_id == special.job_id,
         )
     )
-    other = job(1, walltime=10.0)
+    other = job(sim, 1, walltime=10.0)
     sched.submit(other)
     sched.submit(special)
     sim.run()
@@ -280,11 +281,11 @@ def test_reservation_validation():
 def test_fairshare_prefers_light_user():
     sim, sched = make_rig(FairshareScheduler, nodes=1, half_life=1 * DAY)
     # Heavy user consumes the machine first.
-    heavy_1 = job(1, walltime=10 * HOUR, user="heavy")
+    heavy_1 = job(sim, 1, walltime=10 * HOUR, user="heavy")
     sched.submit(heavy_1)
     # Both users queue while the machine is busy.
-    heavy_2 = job(1, walltime=1 * HOUR, user="heavy")
-    light_1 = job(1, walltime=1 * HOUR, user="light")
+    heavy_2 = job(sim, 1, walltime=1 * HOUR, user="heavy")
+    light_1 = job(sim, 1, walltime=1 * HOUR, user="light")
     submit_at(sim, sched, 1.0, heavy_2)  # heavy arrives first
     submit_at(sim, sched, 2.0, light_1)
     sim.run()
@@ -293,7 +294,7 @@ def test_fairshare_prefers_light_user():
 
 def test_fairshare_decays_toward_fifo():
     sim, sched = make_rig(FairshareScheduler, nodes=1, half_life=1.0)
-    old_heavy = job(1, walltime=10.0, user="heavy")
+    old_heavy = job(sim, 1, walltime=10.0, user="heavy")
     sched.submit(old_heavy)
     sim.run()
     # Long after the usage decayed, arrival order rules again.
@@ -319,7 +320,7 @@ def test_capability_job_waits_for_window():
         period=WEEK,
         first_window=5 * DAY,
     )
-    hero = job(4, walltime=6 * HOUR, runtime=6 * HOUR)
+    hero = job(sim, 4, walltime=6 * HOUR, runtime=6 * HOUR)
     sched.submit(hero)
     sim.run(until=2 * WEEK)
     assert hero.state is JobState.COMPLETED
@@ -337,7 +338,7 @@ def test_normal_jobs_do_not_cross_window():
     )
     # Submitted half a day before the window with a 1-day walltime: must wait
     # until the window closes rather than run into it.
-    late = job(1, walltime=1 * DAY, runtime=1 * DAY)
+    late = job(sim, 1, walltime=1 * DAY, runtime=1 * DAY)
     submit_at(sim, sched, 4.5 * DAY, late)
     sim.run(until=2 * WEEK)
     assert late.start_time == 6 * DAY  # window [5d, 6d) ends
@@ -351,7 +352,7 @@ def test_normal_job_fitting_before_window_runs():
         period=WEEK,
         first_window=5 * DAY,
     )
-    quick = job(1, walltime=2 * HOUR, runtime=2 * HOUR)
+    quick = job(sim, 1, walltime=2 * HOUR, runtime=2 * HOUR)
     submit_at(sim, sched, 4.5 * DAY, quick)
     sim.run(until=WEEK)
     assert quick.start_time == 4.5 * DAY
@@ -365,8 +366,8 @@ def test_consecutive_capability_jobs_in_one_window():
         period=WEEK,
         first_window=2 * DAY,
     )
-    hero1 = job(4, walltime=6 * HOUR, runtime=6 * HOUR)
-    hero2 = job(4, walltime=6 * HOUR, runtime=6 * HOUR)
+    hero1 = job(sim, 4, walltime=6 * HOUR, runtime=6 * HOUR)
+    hero2 = job(sim, 4, walltime=6 * HOUR, runtime=6 * HOUR)
     sched.submit(hero1)
     sched.submit(hero2)
     sim.run(until=WEEK)
@@ -408,7 +409,7 @@ def test_policies_complete_all_jobs_within_capacity(specs, policy):
     sim.process(auditor(sim))
     jobs = []
     for cores, walltime, offset in specs:
-        j = job(cores, float(walltime))
+        j = job(sim, cores, float(walltime))
         jobs.append(j)
         submit_at(sim, sched, float(offset), j)
     sim.run(until=float(10_000))
@@ -448,6 +449,6 @@ def test_easy_never_idles_machine_when_head_fits(specs):
 
     sim.process(auditor(sim))
     for i, (cores, walltime) in enumerate(specs):
-        submit_at(sim, sched, float(i % 7), job(cores, float(walltime)))
+        submit_at(sim, sched, float(i % 7), job(sim, cores, float(walltime)))
     sim.run(until=5000.0)
     assert not violations

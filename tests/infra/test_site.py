@@ -20,8 +20,10 @@ def make_site(nodes=8, cores_per_node=4, nu=1.0, budget=1e9):
     return sim, site, ledger, central
 
 
-def job(cores=4, walltime=HOUR, runtime=None, user="alice", account="acct"):
+def job(sim, cores=4, walltime=HOUR, runtime=None, user="alice",
+        account="acct"):
     return Job(
+        job_id=sim.next_id("job"),
         user=user,
         account=account,
         cores=cores,
@@ -32,7 +34,7 @@ def job(cores=4, walltime=HOUR, runtime=None, user="alice", account="acct"):
 
 def test_submit_runs_and_charges():
     sim, site, ledger, central = make_site(nu=2.0)
-    j = job(cores=8, walltime=HOUR, runtime=HOUR / 2)
+    j = job(sim, cores=8, walltime=HOUR, runtime=HOUR / 2)
     site.submit(j)
     sim.run(until=HOUR)
     site.feed.drain()
@@ -45,19 +47,19 @@ def test_submit_runs_and_charges():
 def test_unknown_account_rejected():
     sim, site, *_ = make_site()
     with pytest.raises(KeyError):
-        site.submit(job(account="nope"))
+        site.submit(job(sim, account="nope"))
 
 
 def test_user_not_on_account_rejected():
     sim, site, *_ = make_site()
     with pytest.raises(PermissionError):
-        site.submit(job(user="mallory"))
+        site.submit(job(sim, user="mallory"))
 
 
 def test_cancelled_unstarted_job_charges_nothing():
     sim, site, ledger, central = make_site(nodes=1, cores_per_node=1)
-    blocker = job(cores=1, walltime=10 * HOUR)
-    victim = job(cores=1, walltime=HOUR)
+    blocker = job(sim, cores=1, walltime=10 * HOUR)
+    victim = job(sim, cores=1, walltime=HOUR)
     site.submit(blocker)
     site.submit(victim)
     site.cancel(victim)
@@ -71,7 +73,7 @@ def test_cancelled_unstarted_job_charges_nothing():
 
 def test_walltime_killed_job_charged_full_walltime():
     sim, site, ledger, _ = make_site()
-    j = job(cores=4, walltime=HOUR, runtime=10 * HOUR)
+    j = job(sim, cores=4, walltime=HOUR, runtime=10 * HOUR)
     site.submit(j)
     sim.run(until=2 * HOUR)
     assert j.state is JobState.KILLED_WALLTIME
@@ -81,7 +83,7 @@ def test_walltime_killed_job_charged_full_walltime():
 def test_status_snapshot_fields():
     sim, site, *_ = make_site(nodes=8)
     for _ in range(3):
-        site.submit(job(cores=32, walltime=HOUR))  # each fills the machine
+        site.submit(job(sim, cores=32, walltime=HOUR))  # each fills the machine
     snap = site.status_snapshot()
     assert snap["resource"] == "mach"
     assert snap["total_nodes"] == 8
@@ -93,7 +95,7 @@ def test_status_snapshot_fields():
 
 def test_one_record_per_terminal_job():
     sim, site, _, central = make_site()
-    jobs = [job(cores=2, walltime=HOUR / 4) for _ in range(20)]
+    jobs = [job(sim, cores=2, walltime=HOUR / 4) for _ in range(20)]
     for j in jobs:
         site.submit(j)
     sim.run(until=30 * HOUR)
@@ -120,7 +122,7 @@ def test_charge_conservation(specs):
     sim, site, ledger, central = make_site(nu=1.5)
     jobs = []
     for cores, walltime, fraction in specs:
-        j = job(cores=cores, walltime=walltime, runtime=walltime * fraction)
+        j = job(sim, cores=cores, walltime=walltime, runtime=walltime * fraction)
         jobs.append(j)
         site.submit(j)
     sim.run(until=1000 * HOUR)
@@ -146,7 +148,7 @@ def test_record_carries_allocation_field_of_science():
     central = I.CentralAccountingDB()
     cluster = I.Cluster("mach", nodes=4, cores_per_node=4)
     site = I.ResourceProvider(sim, cluster, ledger, central)
-    j = job(cores=4, walltime=HOUR, runtime=HOUR / 2)
+    j = job(sim, cores=4, walltime=HOUR, runtime=HOUR / 2)
     site.submit(j)
     sim.run(until=2 * HOUR)
     site.feed.drain()

@@ -200,8 +200,8 @@ def test_coalloc_waits_for_busy_site():
     sim, providers, meta, network, central = make_federation(n_sites=2, nodes=4)
     from repro.infra.job import Job
 
-    blocker = Job(user="alice", account="acct", cores=4,
-                  walltime=3 * HOUR, true_runtime=3 * HOUR)
+    blocker = Job(job_id=sim.next_id("job"), user="alice", account="acct",
+                  cores=4, walltime=3 * HOUR, true_runtime=3 * HOUR)
     providers[0].submit(blocker)
     coalloc = I.CoAllocator(sim, slack=60.0)
     proc = coalloc.launch(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.modalities import MODALITY_ORDER, Modality
+from repro.infra.amie import IngestRecoveryPolicy
 from repro.infra.metascheduler import SelectionStrategy
 from repro.infra.scheduler import FcfsScheduler
 from repro.scenarios import (
@@ -262,8 +263,8 @@ def test_compile_carries_ingest_section():
     assert config.ingest_recovery is not None
     assert config.ingest_recovery.reconcile
     assert config.faulty_ingest
-    # no section -> both knobs stay off
+    # no section -> the lossless exchange under the default policy
     calm = ScenarioProgram(name="q").compile()
-    assert calm.packet_faults is None
-    assert calm.ingest_recovery is None
+    assert not calm.packet_faults.enabled
+    assert calm.ingest_recovery == IngestRecoveryPolicy()
     assert not calm.faulty_ingest

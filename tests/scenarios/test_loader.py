@@ -143,6 +143,27 @@ def test_missing_name_and_non_mapping_rejected():
         program_from_dict(["not", "a", "mapping"])
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("name: x\nseed: 1.5\n", "seed must be integral"),
+        ("name: x\ndays: .inf\n", "days must be positive and finite"),
+    ],
+)
+def test_truncating_seed_and_endless_days_rejected(doc, message):
+    # int() would run seed 1's campaign; an infinite horizon never returns.
+    with pytest.raises(ValueError, match=message):
+        program_from_yaml(doc)
+
+
+def test_compile_overrides_are_validated():
+    program = ScenarioProgram(name="x")
+    with pytest.raises(ValueError, match="seed must be integral"):
+        program.compile(seed=1.5)
+    with pytest.raises(ValueError, match="days must be positive and finite"):
+        program.compile(days=float("inf"))
+
+
 def test_section_validation_still_applies():
     # The loader only translates shapes; dataclass validation still fires.
     with pytest.raises(ValueError, match="tagging_coverage"):

@@ -14,48 +14,31 @@ from repro.sim import RandomStreams, Simulator
 from repro.workloads import run_scenario
 
 
-#: Attribute values minted from process-global counters ("wf-7", ensemble
-#: ids, ...).  Two same-seed runs in one process simulate identical events
-#: but number these groups differently, so the signature renumbers them by
-#: first appearance — the grouping *structure* still must match exactly.
-_GLOBAL_COUNTER_ATTRIBUTES = ("workflow_id", "ensemble_id", "coallocation_id")
-
-
 def _record_signature(result):
     """The full accounting stream as comparable plain data.
 
-    ``job_id`` is excluded for the same reason the grouping attributes are
-    canonicalized: ids come from process-global counters, not from the
-    simulation.  Everything physical must match.
+    Ids are minted from the run's own simulator, so ``job_id`` and the raw
+    grouping attributes must match along with everything physical.
     """
-    canonical: dict[str, dict[str, int]] = {
-        key: {} for key in _GLOBAL_COUNTER_ATTRIBUTES
-    }
-    signature = []
-    for record in result.records:
-        attributes = dict(record.attributes)
-        for key in _GLOBAL_COUNTER_ATTRIBUTES:
-            if key in attributes:
-                seen = canonical[key]
-                attributes[key] = seen.setdefault(attributes[key], len(seen))
-        signature.append(
-            (
-                record.user,
-                record.account,
-                record.resource,
-                record.queue_name,
-                record.cores,
-                record.requested_walltime,
-                record.submit_time,
-                record.start_time,
-                record.end_time,
-                record.final_state,
-                record.charged_nu,
-                sorted(attributes.items()),
-                record.field_of_science,
-            )
+    return [
+        (
+            record.job_id,
+            record.user,
+            record.account,
+            record.resource,
+            record.queue_name,
+            record.cores,
+            record.requested_walltime,
+            record.submit_time,
+            record.start_time,
+            record.end_time,
+            record.final_state,
+            record.charged_nu,
+            sorted(record.attributes.items()),
+            record.field_of_science,
         )
-    return signature
+        for record in result.records
+    ]
 
 
 def _metrics_signature(result):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.modalities import Modality
 from repro.infra.job import AttributeKeys, JobState
 from repro.infra.units import DAY, HOUR, MINUTE
+from repro.sim import Simulator
 from repro.users.behavior import sample_job
 from repro.users.population import PopulationSpec, User
 from repro.users.profiles import DEFAULT_PROFILES
@@ -26,7 +27,7 @@ def test_sample_job_respects_profile_bounds():
     rng = np.random.default_rng(0)
     profile = DEFAULT_PROFILES[Modality.BATCH]
     for _ in range(100):
-        job = sample_job(rng, profile, _user())
+        job = sample_job(Simulator(), rng, profile, _user())
         assert profile.min_cores <= job.cores <= profile.max_cores
         assert job.walltime >= 60.0
         assert job.true_runtime > 0
@@ -37,7 +38,7 @@ def test_sample_job_core_cap():
     rng = np.random.default_rng(0)
     profile = DEFAULT_PROFILES[Modality.BATCH]
     for _ in range(50):
-        job = sample_job(rng, profile, _user(), max_cores_cap=16)
+        job = sample_job(Simulator(), rng, profile, _user(), max_cores_cap=16)
         assert job.cores <= 16
 
 
@@ -45,7 +46,8 @@ def test_sample_job_failures_end_early():
     rng = np.random.default_rng(0)
     profile = DEFAULT_PROFILES[Modality.EXPLORATORY]
     failing = [
-        sample_job(rng, profile, _user(Modality.EXPLORATORY)) for _ in range(300)
+        sample_job(Simulator(), rng, profile, _user(Modality.EXPLORATORY))
+        for _ in range(300)
     ]
     failed = [j for j in failing if j.will_fail]
     fine = [j for j in failing if not j.will_fail]

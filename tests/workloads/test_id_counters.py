@@ -1,8 +1,9 @@
-"""Per-run id counters: a campaign's records do not depend on process history.
+"""Per-run ids: a run's records do not depend on process history.
 
-Job, workflow, ensemble and the other ids come from module-global counters;
-:func:`run_scenario` scopes them to the run, so the same config yields the
-same records in a fresh interpreter, on a repeat and after other campaigns.
+Job, workflow, ensemble, co-allocation and the other ids are minted from the
+run's own :class:`~repro.sim.Simulator`, so the same config yields the same
+records in a fresh interpreter, on a repeat and after other campaigns — and
+so does an experiment that builds its own simulators.
 """
 
 import hashlib
@@ -11,9 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+import numpy as np
 
-from repro.workloads.synthetic import run_scenario, scoped_id_counters
+import repro.experiments  # noqa: F401  (registers every experiment)
+from repro.core.modalities import Modality
+from repro.experiments.base import run_experiment
+from repro.sim import Simulator
+from repro.users.behavior import sample_job
+from repro.users.population import User
+from repro.users.profiles import DEFAULT_PROFILES
+from repro.workloads.synthetic import run_scenario
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -25,13 +33,7 @@ def _digest(records) -> str:
     return hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
 
 
-def _fresh_process_digest() -> str:
-    code = (
-        "import hashlib\n"
-        "from repro.workloads.synthetic import run_scenario\n"
-        f"records = run_scenario(**{CONFIG!r}).records\n"
-        "print(hashlib.sha256(repr(records).encode('utf-8')).hexdigest())\n"
-    )
+def _fresh_process(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
@@ -40,6 +42,15 @@ def _fresh_process_digest() -> str:
         capture_output=True, text=True,
     )
     return out.stdout.strip()
+
+
+def _fresh_process_digest() -> str:
+    return _fresh_process(
+        "import hashlib\n"
+        "from repro.workloads.synthetic import run_scenario\n"
+        f"records = run_scenario(**{CONFIG!r}).records\n"
+        "print(hashlib.sha256(repr(records).encode('utf-8')).hexdigest())\n"
+    )
 
 
 def test_records_do_not_depend_on_process_history():
@@ -53,21 +64,32 @@ def test_records_do_not_depend_on_process_history():
     assert _digest(first) == _fresh_process_digest()
 
 
-def test_scoped_id_counters_restart_and_restore():
-    import repro.infra.job as job_mod
+def test_each_simulator_mints_jobs_from_one():
+    user = User(
+        user_id="u1", modality=Modality.BATCH, field="Physics",
+        account="TG-U1", home_site="ranger",
+    )
+    profile = DEFAULT_PROFILES[Modality.BATCH]
+    rng = np.random.default_rng(0)
+    a, b = Simulator(), Simulator()
+    ids = [
+        sample_job(sim, rng, profile, user).job_id for sim in (a, b, a, b, b)
+    ]
+    assert ids == [1, 1, 2, 2, 3]
+    # Each kind is numbered on its own.
+    assert a.next_id("workflow") == 1
 
-    before = next(job_mod._job_ids)
-    with scoped_id_counters():
-        assert next(job_mod._job_ids) == 1
-        assert next(job_mod._job_ids) == 2
-    assert next(job_mod._job_ids) == before + 1
 
-
-def test_scoped_id_counters_restore_on_error():
-    import repro.users.behavior as behavior_mod
-
-    before = next(behavior_mod._ensemble_ids)
-    with pytest.raises(RuntimeError):
-        with scoped_id_counters():
-            raise RuntimeError("boom")
-    assert next(behavior_mod._ensemble_ids) == before + 1
+def test_experiment_with_its_own_simulators_ignores_process_history():
+    """F7 builds its simulators by hand; no campaign before it moves its ids."""
+    digest_code = (
+        "import hashlib\n"
+        "import repro.experiments\n"
+        "from repro.experiments.base import run_experiment\n"
+        "output = run_experiment('F7')\n"
+        "print(hashlib.sha256(repr((output.text, output.data))"
+        ".encode('utf-8')).hexdigest())\n"
+    )
+    run_scenario(**OTHER)
+    output = run_experiment("F7")
+    assert _digest((output.text, output.data)) == _fresh_process(digest_code)
