@@ -138,8 +138,12 @@ def wall_clock_limit(seconds):
         yield
         return
 
+    message = f"exceeded wall-clock limit of {seconds:g}s"
+    fired = []
+
     def _alarm(signum, frame):
-        raise TaskTimeout(f"exceeded wall-clock limit of {seconds:g}s")
+        fired.append(True)
+        raise TaskTimeout(message)
 
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, float(seconds))
@@ -148,3 +152,8 @@ def wall_clock_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        # The alarm raised where it landed; inside a gc callback or a
+        # ``__del__`` Python reports that as unraisable and drops it, and the
+        # body runs on.  A fired alarm still fails the task.
+        raise TaskTimeout(message)
