@@ -23,7 +23,7 @@ Quick example::
     sim.run(until=2.0)
 """
 
-from repro.sim.engine import Simulator, SimulationError, StopSimulation, WHEEL_TICK
+from repro.sim.engine import Simulator, SimulationError, StopSimulation
 from repro.sim.process import (
     AllOf,
     AnyOf,
@@ -43,7 +43,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStreams",
-    "WHEEL_TICK",
     "derive_seed",
     "Request",
     "Resource",

@@ -86,10 +86,11 @@ class Event:
         """
         if self._triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
+        # Schedule first: a rejected delay must leave the event untriggered.
+        self.sim._schedule(self, delay=delay)
         self._triggered = True
         self._value = value
         self._ok = True
-        self.sim._schedule(self, delay=delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -102,10 +103,10 @@ class Event:
             raise TypeError(f"fail() requires an exception, got {exception!r}")
         if self._triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
+        self.sim._schedule(self, delay=delay)
         self._triggered = True
         self._value = exception
         self._ok = False
-        self.sim._schedule(self, delay=delay)
         return self
 
     # -- kernel hooks -------------------------------------------------------
@@ -138,8 +139,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0: {delay!r}")
         super().__init__(sim)
         self.delay = float(delay)
         self._triggered = True

@@ -10,10 +10,6 @@ def test_initial_time_defaults_to_zero():
     assert Simulator().now == 0.0
 
 
-def test_initial_time_can_be_set():
-    assert Simulator(start_time=100.0).now == 100.0
-
-
 def test_timeout_advances_clock():
     sim = Simulator()
     done = []
@@ -57,9 +53,13 @@ def test_run_until_time_does_not_fire_later_events():
 
 
 def test_run_until_past_raises():
-    sim = Simulator(start_time=50.0)
-    with pytest.raises(SimulationError):
-        sim.run(until=10.0)
+    sim = Simulator()
+    sim.run(until=50.0)
+    # NaN compares false with every time, so it is no horizon either.
+    for until in (10.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+    assert sim.now == 50.0
 
 
 def test_run_until_event_returns_value():
@@ -214,8 +214,17 @@ def test_stop_simulation_exits_run():
 
 def test_negative_delay_rejected():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.timeout(-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            sim.timeout(delay)
+        event = sim.event()
+        with pytest.raises(SimulationError):
+            event.succeed(delay=delay)
+        with pytest.raises(SimulationError):
+            event.fail(RuntimeError("late"), delay=delay)
+        assert not event.triggered
+    assert len(sim) == 0
+    sim.timeout(float("inf"))  # an infinite delay stays legal
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -235,26 +244,22 @@ def test_clock_is_monotone_over_random_timeouts(delays):
     assert len(observed) == len(delays)
 
 
-@given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 1000)),
+@given(st.lists(st.one_of(st.integers(0, 40).map(lambda q: q * 225.0),
+                          st.floats(min_value=0.0, max_value=10 * 900.0)),
                 min_size=1, max_size=40))
-def test_events_fire_in_time_order(pairs):
-    """Property: firing order sorts by time, FIFO within equal times."""
+def test_events_fire_in_time_order(delays):
+    """Property: firing order sorts by time, FIFO within equal times, for
+    near and far delays alike (quarter-hour multiples up to 10 x 900 s make
+    exact ties common)."""
     sim = Simulator()
     fired = []
-
-    def waiter(sim, delay, tag):
-        yield sim.timeout(delay)
-        fired.append((sim.now, tag))
-
-    for tag, (delay, _salt) in enumerate(pairs):
-        sim.process(waiter(sim, delay, tag))
+    for tag, delay in enumerate(delays):
+        sim.timeout(delay, tag).callbacks.append(
+            lambda event: fired.append((sim.now, event.value)))
+    assert len(sim) == len(delays)
     sim.run()
-    times = [t for t, _ in fired]
-    assert times == sorted(times)
-    # FIFO among equal-time events: tags at equal time ascend
-    for i in range(1, len(fired)):
-        if fired[i][0] == fired[i - 1][0]:
-            assert fired[i][1] > fired[i - 1][1]
+    assert fired == sorted((delay, tag) for tag, delay in enumerate(delays))
+    assert len(sim) == 0
 
 
 # -- empty-heap peek ----------------------------------------------------------
@@ -274,95 +279,3 @@ def test_peek_on_exhausted_heap_raises():
     sim.run()
     with pytest.raises(SimulationError):
         sim.peek()
-
-
-# -- the coalesced timer wheel ------------------------------------------------
-
-from repro.sim import WHEEL_TICK  # noqa: E402
-
-
-def _firing_order(wheel, delays):
-    """Run one workload and return the (time, tag) firing sequence."""
-    sim = Simulator(wheel=wheel)
-    fired = []
-
-    def waiter(sim, delay, tag):
-        yield sim.timeout(delay)
-        fired.append((sim.now, tag))
-
-    for tag, delay in enumerate(delays):
-        sim.process(waiter(sim, delay, tag))
-    sim.run()
-    return fired
-
-
-def test_wheel_buckets_far_timeouts():
-    sim = Simulator(wheel=True)
-    for _ in range(5):
-        sim.timeout(3.0 * WHEEL_TICK)
-    assert sim._wheel_count == 5
-    # One bucket -> one marker; logical count still sees all five.
-    assert len(sim._wheel) == 1
-    assert len(sim) == 5
-
-
-def test_wheel_disabled_keeps_plain_heap():
-    sim = Simulator(wheel=False)
-    for _ in range(5):
-        sim.timeout(3.0 * WHEEL_TICK)
-    assert sim._wheel_count == 0
-    assert len(sim) == 5
-
-
-def test_near_timeouts_bypass_the_wheel():
-    sim = Simulator(wheel=True)
-    sim.timeout(WHEEL_TICK)  # below the 2-tick coalescing floor
-    assert sim._wheel_count == 0
-
-
-def test_wheel_preserves_firing_order():
-    # Far timeouts (bucketed), near ones (plain heap), and exact ties that
-    # land in the same bucket: pop order must be byte-for-byte the no-wheel
-    # order, including FIFO among equal times.
-    delays = [
-        5.0 * WHEEL_TICK,
-        1.0,
-        5.0 * WHEEL_TICK,  # tie with tag 0 in the same bucket
-        2.5 * WHEEL_TICK,
-        0.0,
-        7.25 * WHEEL_TICK,
-        2.5 * WHEEL_TICK + 0.125,
-    ]
-    assert _firing_order(True, delays) == _firing_order(False, delays)
-
-
-def test_wheel_peek_settles_buckets():
-    sim = Simulator(wheel=True)
-    sim.timeout(2.0 * WHEEL_TICK)
-    # The marker sits at the bucket *start* (1800.0 here); peek must report
-    # the real event's time, not the marker's.
-    assert sim.peek() == 2.0 * WHEEL_TICK
-
-
-def test_wheel_run_until_horizon_between_marker_and_event():
-    sim = Simulator(wheel=True)
-    fired = []
-
-    def proc(sim):
-        yield sim.timeout(2.5 * WHEEL_TICK)
-        fired.append(sim.now)
-
-    sim.process(proc(sim))
-    # Horizon past the bucket start (2 ticks) but before the event (2.5).
-    sim.run(until=2.25 * WHEEL_TICK)
-    assert fired == []
-    assert sim.now == 2.25 * WHEEL_TICK
-    sim.run(until=3.0 * WHEEL_TICK)
-    assert fired == [2.5 * WHEEL_TICK]
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=30))
-def test_wheel_equivalence_over_random_delays(ticks):
-    """Property: wheel on/off produce identical firing sequences."""
-    delays = [t * WHEEL_TICK for t in ticks]
-    assert _firing_order(True, delays) == _firing_order(False, delays)
